@@ -40,7 +40,7 @@ object Baselines {
     * structure features only (the variant LargeEA-G builds on).
     */
   def gcnAlign(spark: SparkSession, ds: EaDataset, topK: Int = 50): RunResult = {
-    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Gcn, topK).cache())
+    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Gcn, topK))
     RunResult(Metrics.evaluate(sim, ds.test), sec)
   }
 
@@ -48,7 +48,7 @@ object Baselines {
     * structure features only (the variant LargeEA-R builds on).
     */
   def rrea(spark: SparkSession, ds: EaDataset, topK: Int = 50): RunResult = {
-    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Rrea, topK).cache())
+    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Rrea, topK))
     RunResult(Metrics.evaluate(sim, ds.test), sec)
   }
 
@@ -56,12 +56,11 @@ object Baselines {
     * structure view combined with equal weights. No string channel, no DA.
     */
   def multiKe(spark: SparkSession, ds: EaDataset, topK: Int = 50, dim: Int = 64): RunResult = {
-    val ((sim, _), sec) = timeIt {
+    val (sim, sec) = timeIt {
       val bert = new PseudoBert(ds.lexicon, dim)
       val mse = Sens.similarity(spark, bert.embedAll(ds.source.namesArray),
                                 bert.embedAll(ds.target.namesArray), topK)
-      val ms = fullGraphStructure(spark, ds, GnnEA.Gcn, topK)
-      (ms.plus(mse).cache(), ())
+      fullGraphStructure(spark, ds, GnnEA.Gcn, topK).plus(mse)
     }
     RunResult(Metrics.evaluate(sim, ds.test), sec)
   }
@@ -73,11 +72,11 @@ object Baselines {
     */
   def rdgcn(spark: SparkSession, ds: EaDataset, topK: Int = 50, dim: Int = 64,
             layers: Int = 2, selfWeight: Float = 2.0f): RunResult = {
-    val ((sim, _), sec) = timeIt {
+    val (sim, sec) = timeIt {
       val bert = new PseudoBert(ds.lexicon, dim)
       val srcH = propagateNameInit(ds, bert, isSource = true, layers, selfWeight)
       val tgtH = propagateNameInit(ds, bert, isSource = false, layers, selfWeight)
-      (Sens.similarity(spark, srcH, tgtH, topK).cache(), ())
+      Sens.similarity(spark, srcH, tgtH, topK)
     }
     RunResult(Metrics.evaluate(sim, ds.test), sec)
   }
@@ -124,7 +123,7 @@ object Baselines {
     * the most expensive name-based method.
     */
   def bertInt(spark: SparkSession, ds: EaDataset, topK: Int = 150, dim: Int = 64): RunResult = {
-    val ((sim, _), sec) = timeIt {
+    val (sim, sec) = timeIt {
       val bert = new PseudoBert(ds.lexicon, dim)
       val srcNames = ds.source.namesArray
       val tgtNames = ds.target.namesArray
@@ -135,17 +134,15 @@ object Baselines {
       val bcSrc = sc.broadcast(srcNames)
       val bcTgt = sc.broadcast(tgtNames)
 
-      import spark.implicits._
-      val rescored = coarse.df.rdd.map { r =>
-        val s = r.getLong(0); val t = r.getLong(1); val coarseScore = r.getDouble(2)
+      val rescored = sc.parallelize(coarse.cells.toSeq).map { case (s, t, coarseScore) =>
         val b = bcBert.value
-        val sToks = b.tokenize(bcSrc.value(s.toInt)).map(b.tokenVector)
-        val tToks = b.tokenize(bcTgt.value(t.toInt)).map(b.tokenVector)
+        val sToks = b.tokenize(bcSrc.value(s)).map(b.tokenVector)
+        val tToks = b.tokenize(bcTgt.value(t)).map(b.tokenVector)
         val inter = interaction(sToks, tToks)
-        val strSim = Stns.levenshteinSim(bcSrc.value(s.toInt), bcTgt.value(t.toInt))
-        (s, t, 0.2 * coarseScore + inter + 0.1 * strSim)
-      }
-      (SimMatrix(rescored.toDF("src", "tgt", "score")).cache(), ())
+        val strSim = Stns.levenshteinSim(bcSrc.value(s), bcTgt.value(t))
+        (s.toLong, t.toLong, 0.2 * coarseScore + inter + 0.1 * strSim)
+      }.collect()
+      SimMatrix.fromLocal(spark, rescored, coarse.numRows, coarse.numCols)
     }
     RunResult(Metrics.evaluate(sim, ds.test), sec)
   }

@@ -1,7 +1,6 @@
 package repro.eval
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.sim.SimMatrix
 
 /** EA evaluation: Hits@N and MRR over a test alignment (paper §3.1).
@@ -19,53 +18,15 @@ final case class EaScores(hits1: Double, hits5: Double, mrr: Double, n: Long) {
 object Metrics {
 
   /** Evaluate `sim` against `test` (DataFrame with columns src, tgt). */
-  def evaluate(sim: SimMatrix, test: DataFrame): EaScores = {
-    val truth = test.select(col("src"), col("tgt").as("trueTgt"))
-    val n = truth.count()
-    if (n == 0) return EaScores(0, 0, 0, 0)
+  def evaluate(sim: SimMatrix, test: DataFrame): EaScores =
+    evaluate(sim, test.select("src", "tgt").collect().map(r => (r.getLong(0), r.getLong(1))))
 
-    // rank every stored candidate within its source row (score desc,
-    // target id asc for determinism), then look up the true target's rank
-    val w = org.apache.spark.sql.expressions.Window
-      .partitionBy("src").orderBy(col("score").desc, col("tgt").asc)
-    val ranked = sim.df.withColumn("rank", row_number().over(w))
-
-    val allRanks = truth
-      .join(ranked, truth("src") === ranked("src") && col("trueTgt") === ranked("tgt"), "inner")
-      .select(col("rank").cast("long").as("rank"))
-
-    val agg = allRanks.agg(
-      sum(when(col("rank") <= 1, 1).otherwise(0)).as("h1"),
-      sum(when(col("rank") <= 5, 1).otherwise(0)).as("h5"),
-      sum(lit(1.0) / col("rank")).as("rr")
-    ).collect()(0)
-
-    val h1 = Option(agg.get(0)).map(_.toString.toDouble).getOrElse(0.0)
-    val h5 = Option(agg.get(1)).map(_.toString.toDouble).getOrElse(0.0)
-    val rr = Option(agg.get(2)).map(_.toString.toDouble).getOrElse(0.0)
-    EaScores(h1 / n, h5 / n, rr / n, n)
-  }
-
-  /** Driver-side evaluation over collected rows — identical semantics,
-    * used by hot loops (parameter sweeps) and cross-checked against the
-    * Spark path in tests.
-    */
-  def evaluateLocal(
-      rows: Map[Long, Array[(Long, Double)]],
-      test: Array[(Long, Long)]): EaScores = {
+  /** Evaluate `sim` against local test pairs (src, tgt). */
+  def evaluate(sim: SimMatrix, test: Array[(Long, Long)]): EaScores = {
     if (test.isEmpty) return EaScores(0, 0, 0, 0)
-    var h1 = 0; var h5 = 0; var rr = 0.0
-    test.foreach { case (s, t) =>
-      rows.get(s).foreach { cands =>
-        val idx = cands.indexWhere(_._1 == t)
-        if (idx >= 0) {
-          val rank = idx + 1
-          if (rank <= 1) h1 += 1
-          if (rank <= 5) h5 += 1
-          rr += 1.0 / rank
-        }
-      }
-    }
-    EaScores(h1.toDouble / test.length, h5.toDouble / test.length, rr / test.length, test.length)
+    // sorted, so that MRR sums in an order that does not depend on the test order
+    val ranks = test.map { case (s, t) => sim.rank(s, t) }.filter(_ > 0).sorted
+    val n = test.length.toDouble
+    EaScores(ranks.count(_ == 1) / n, ranks.count(_ <= 5) / n, ranks.map(1.0 / _).sum / n, test.length)
   }
 }

@@ -33,10 +33,13 @@ object LargeEA {
       structOnly: Option[EaScores],
       nameOnly: Option[EaScores],
       batches: Option[MiniBatches],
-      pseudoSeedCount: Int,
+      pseudoSeeds: Array[(Long, Long)], // sorted by source id
       pseudoSeedPrecision: Double,
       seedsUsed: Int,
-      timings: Map[String, Double]) // seconds per phase
+      fused: SimMatrix,
+      timings: Map[String, Double]) { // seconds per phase
+    def pseudoSeedCount: Int = pseudoSeeds.length
+  }
 
   /** Run LargeEA end to end on a dataset.
     *
@@ -76,12 +79,7 @@ object LargeEA {
     val (pseudo, seeds): (Array[(Long, Long)], Array[(Long, Long)]) =
       nameRes match {
         case Some(nr) if cfg.useDataAug || cfg.unsupervised =>
-          val p = timed("dataAug") {
-            // sorted: collect order is shuffle-dependent, and seed order
-            // feeds deterministic-by-seed partitioning downstream
-            DataAug.pseudoSeeds(nr.mn).collect()
-              .map(r => (r.getLong(0), r.getLong(1))).sorted
-          }
+          val p = timed("dataAug")(DataAug.pseudoSeedPairs(nr.mn))
           val merged =
             if (cfg.unsupervised) p
             else DataAug.mergeSeeds(trainSeeds, p)
@@ -99,32 +97,34 @@ object LargeEA {
         }
         batchesOpt = Some(batches)
         Some(timed("structTrain") {
-          StructChannel.computeMs(spark, ds, batches, seeds, cfg.model, cfg.phi).cache()
+          StructChannel.computeMs(spark, ds, batches, seeds, cfg.model, cfg.phi)
         })
       } else None
 
     // ---- channel fusion ----------------------------------------------------
     val mn = nameRes.filter(_ => cfg.useNameChannel).map(_.mn)
     val fused: SimMatrix = (ms, mn) match {
-      case (Some(a), Some(b)) => timed("fusion")(a.plus(b).cache())
+      case (Some(a), Some(b)) => timed("fusion")(a.plus(b))
       case (Some(a), None)    => a
       case (None, Some(b))    => b
       case (None, None)       => SimMatrix.empty(spark)
     }
 
     // ---- evaluation ---------------------------------------------------------
-    val scores = timed("eval")(Metrics.evaluate(fused, ds.test))
-    val structOnly = ms.map(m => Metrics.evaluate(m, ds.test))
-    val nameOnly = mn.map(m => Metrics.evaluate(m, ds.test))
+    val (scores, structOnly, nameOnly) = timed("eval") {
+      val test = ds.testPairs
+      (Metrics.evaluate(fused, test), ms.map(Metrics.evaluate(_, test)), mn.map(Metrics.evaluate(_, test)))
+    }
 
     Result(
       scores = scores,
       structOnly = structOnly,
       nameOnly = nameOnly,
       batches = batchesOpt,
-      pseudoSeedCount = pseudo.length,
+      pseudoSeeds = pseudo,
       pseudoSeedPrecision = pseudoPrecision,
       seedsUsed = seeds.length,
+      fused = fused,
       timings = timings.toMap)
   }
 }

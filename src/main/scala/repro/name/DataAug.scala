@@ -1,8 +1,6 @@
 package repro.name
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.sim.SimMatrix
 
 /** Name-based data augmentation (paper §2.3).
@@ -14,28 +12,31 @@ import repro.sim.SimMatrix
   */
 object DataAug {
 
-  /** Mutual-nearest-neighbour pseudo seeds from a name similarity matrix.
-    * Returns a DataFrame (src, tgt).
+  /** Mutual-nearest-neighbour pseudo seeds from a name similarity matrix,
+    * sorted by source id.
     *
     * In addition to cycle consistency (mutual argmax), a pair must beat the
     * source row's runner-up by `margin` — the standard precision device in
     * unsupervised word translation; it prunes ambiguous matches the way
     * BERT's better-separated scores do for the paper (whose DA reaches
-    * ~94 % precision).
+    * ~94 % precision). Argmax ties go to the lower partner id on both sides.
     */
+  def pseudoSeedPairs(mn: SimMatrix, margin: Double = 1.02): Array[(Long, Long)] = {
+    // the best cell of each column; cells ascend by row, so a tie keeps the lower src
+    val colBest = Array.fill(mn.numCols)(-1)
+    for (i <- mn.tgt.indices if colBest(mn.tgt(i)) < 0 || mn.score(i) > mn.score(colBest(mn.tgt(i))))
+      colBest(mn.tgt(i)) = i
+    // a row's argmax and runner-up are its first two cells
+    (0 until mn.numRows).map(s => (s, mn.rowPtr(s), mn.rowPtr(s + 1))).collect {
+      case (s, a, b) if b > a && colBest(mn.tgt(a)) == a && (b == a + 1 || mn.score(a) >= mn.score(a + 1) * margin) =>
+        (s.toLong, mn.tgt(a).toLong)
+    }.toArray
+  }
+
+  /** `pseudoSeedPairs` as a DataFrame (src: Long, tgt: Long). */
   def pseudoSeeds(mn: SimMatrix, margin: Double = 1.02): DataFrame = {
-    // deterministic argmax per side: score desc, partner id asc
-    val bySrc = Window.partitionBy("src").orderBy(col("score").desc, col("tgt").asc)
-    val byTgt = Window.partitionBy("tgt").orderBy(col("score").desc, col("src").asc)
-    val ranked = mn.df
-      .withColumn("rs", row_number().over(bySrc))
-      .withColumn("rt", row_number().over(byTgt))
-    val second = ranked.where(col("rs") === 2)
-      .select(col("src").as("s2src"), col("score").as("second"))
-    ranked.where(col("rs") === 1 && col("rt") === 1)
-      .join(second, col("src") === col("s2src"), "left")
-      .where(col("second").isNull || col("score") >= col("second") * margin)
-      .select("src", "tgt")
+    import mn.spark.implicits._
+    pseudoSeedPairs(mn, margin).toSeq.toDF("src", "tgt")
   }
 
   /** Merge real seeds with pseudo seeds, keeping the result 1-to-1:

@@ -34,9 +34,9 @@ object Nff {
     val srcVecs = bert.embedAll(srcNames)
     val tgtVecs = bert.embedAll(tgtNames)
 
-    val mse = Sens.similarity(spark, srcVecs, tgtVecs, phi, segments).cache()
-    val mst = Stns.similarity(spark, srcNames, tgtNames, theta).cache()
-    val mn  = mse.plus(mst, gamma).cache()
+    val mse = Sens.similarity(spark, srcVecs, tgtVecs, phi, segments)
+    val mst = Stns.similarity(spark, srcNames, tgtNames, theta)
+    val mn  = mse.plus(mst, gamma)
     Result(mse, mst, mn)
   }
 }

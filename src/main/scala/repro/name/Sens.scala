@@ -38,9 +38,9 @@ object Sens {
     val bcTgt = spark.sparkContext.broadcast(tgtVecs)
     val bcSeg = spark.sparkContext.broadcast(segBounds)
 
-    val rows = spark.sparkContext
+    val blocks = spark.sparkContext
       .parallelize(srcVecs.zipWithIndex.toIndexedSeq, math.min(64, math.max(1, srcVecs.length / 256)))
-      .flatMap { case (sv, sid) =>
+      .map { case (sv, sid) =>
         val tv = bcTgt.value
         val segs = bcSeg.value
         // bounded min-heap over (sim, tgt)
@@ -63,16 +63,12 @@ object Sens {
             t += 1
           }
         }
-        val out = scala.collection.mutable.ArrayBuffer.empty[(Long, Long, Double)]
-        while (!heap.isEmpty) {
-          val (sim, t) = heap.poll()
-          out += ((sid.toLong, t.toLong, sim))
-        }
-        out
+        // the heap yields the worst cell first: reversed, the row is in rank order
+        val row = Array.fill(heap.size)(heap.poll()).reverse
+        SimMatrix.Block(Array.fill(row.length)(sid), row.map(_._2), row.map(_._1))
       }
-
-    import spark.implicits._
-    SimMatrix(rows.toDF("src", "tgt", "score"))
+      .collect()
+    SimMatrix.fromBlocks(spark, srcVecs.length, nT, blocks)
   }
 
   /** [lo, hi) bounds of `segments` near-equal slices of 0..n. */

@@ -1,6 +1,7 @@
 package repro.name
 
 import org.apache.spark.sql.SparkSession
+import scala.collection.parallel.CollectionConverters._
 import repro.sim.SimMatrix
 
 /** STNS — string-based name similarity (paper §2.3).
@@ -9,9 +10,9 @@ import repro.sim.SimMatrix
   * paper first filters candidates with datasketch's MinHash-LSH, keeping
   * pairs with Jaccard ≥ θ (=0.5), then scores only those with Levenshtein.
   *
-  * Pipeline (all Spark):
+  * Pipeline (local: a shuffle does not pay off for ~21K names):
   *  1. MinHash signatures per name on both sides;
-  *  2. banded LSH bucket join across the two KGs → candidate pairs;
+  *  2. banded LSH buckets of the targets, probed by each source → candidates;
   *  3. keep pairs with estimated Jaccard ≥ θ;
   *  4. score survivors with normalized Levenshtein similarity
   *     1 − lev(a,b)/max(|a|,|b|).
@@ -57,41 +58,18 @@ object Stns {
       tgtNames: Array[String],
       theta: Double = 0.5,
       lsh: MinHashLsh = new MinHashLsh()): SimMatrix = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val bcLsh = sc.broadcast(lsh)
-
-    def sigRdd(names: Array[String]) =
-      sc.parallelize(names.zipWithIndex.toIndexedSeq,
-                     math.min(32, math.max(1, names.length / 512)))
-        .map { case (nm, id) => (id, bcLsh.value.signature(nm)) }
-        .cache()
-
-    val srcSig = sigRdd(srcNames)
-    val tgtSig = sigRdd(tgtNames)
-
-    // LSH bucket join: (bandKey) -> ids, joined across the two sides.
-    val srcBuckets = srcSig.flatMap { case (id, sig) => bcLsh.value.bandKeys(sig).map(k => (k, id)) }
-    val tgtBuckets = tgtSig.flatMap { case (id, sig) => bcLsh.value.bandKeys(sig).map(k => (k, id)) }
-    val candidates = srcBuckets.join(tgtBuckets).map(_._2).distinct()
-
-    // θ filter on estimated Jaccard, then Levenshtein on survivors.
-    val bcSrcNames = sc.broadcast(srcNames)
-    val bcTgtNames = sc.broadcast(tgtNames)
-    val srcSigMap = sc.broadcast(srcSig.collectAsMap())
-    val tgtSigMap = sc.broadcast(tgtSig.collectAsMap())
-
-    val scored = candidates.flatMap { case (s, t) =>
-      val l = bcLsh.value
-      val j = l.estJaccard(srcSigMap.value(s), tgtSigMap.value(t))
-      if (j >= theta) {
-        val sim = levenshteinSim(bcSrcNames.value(s), bcTgtNames.value(t))
-        Some((s.toLong, t.toLong, sim))
-      } else None
-    }
-
-    val out = SimMatrix(scored.toDF("src", "tgt", "score"))
-    srcSig.unpersist(); tgtSig.unpersist()
-    out
+    // signatures are the costly part (numPerm hashes per shingle): run them in parallel
+    val srcSig = srcNames.par.map(lsh.signature).toArray
+    val tgtSig = tgtNames.par.map(lsh.signature).toArray
+    // LSH buckets: band key -> the target ids that hash to it
+    val buckets = scala.collection.mutable.LongMap.empty[List[Int]]
+    for (t <- tgtSig.indices; k <- lsh.bandKeys(tgtSig(t))) buckets(k) = t :: buckets.getOrElse(k, Nil)
+    // each candidate pair once, then the θ filter, then Levenshtein
+    val cells = for {
+      s <- srcSig.indices.par
+      t <- lsh.bandKeys(srcSig(s)).flatMap(buckets.getOrElse(_, Nil)).distinct
+      if lsh.estJaccard(srcSig(s), tgtSig(t)) >= theta
+    } yield (s.toLong, t.toLong, levenshteinSim(srcNames(s), tgtNames(t)))
+    SimMatrix.fromLocal(spark, cells.seq, srcNames.length, tgtNames.length)
   }
 }

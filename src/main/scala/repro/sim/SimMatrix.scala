@@ -1,59 +1,128 @@
 package repro.sim
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 
-/** A sparse entity-similarity matrix as a DataFrame (src, tgt, score).
+/** A sparse entity-similarity matrix in CSR form, held in local arrays.
   *
-  * Both channels produce one of these (the paper's Ms and Mn); fusion is
-  * score addition over the union of supports (absent cells are 0), which
-  * mirrors M = Ms + Mn / Mn = Mse + γ·Mst.
+  * Row `s` holds the cells `rowPtr(s) until rowPtr(s + 1)` of `tgt` and
+  * `score`, sorted by score desc, then target id asc, so a cell's rank in its
+  * row is its position. Both channels produce one of these (the paper's Ms
+  * and Mn); fusion is score addition over the union of supports (absent
+  * cells are 0), which mirrors M = Ms + Mn / Mn = Mse + γ·Mst. Rows are top-k
+  * or block-diagonal, so every operation is a local pass, not a shuffle.
   */
-final case class SimMatrix(df: DataFrame) {
-
-  /** this + weight·other, fused over the union of supports. */
-  def plus(other: SimMatrix, weight: Double = 1.0): SimMatrix = {
-    val scaled = other.df.select(col("src"), col("tgt"), (col("score") * weight).as("score"))
-    SimMatrix(
-      df.unionByName(scaled)
-        .groupBy("src", "tgt")
-        .agg(sum("score").as("score")))
-  }
-
-  /** Keep only the k best targets per source entity (memory bound O(k|Es|),
-    * the paper's argument for top-k retention).
-    */
-  def topK(k: Int): SimMatrix = {
-    val w = Window.partitionBy("src").orderBy(col("score").desc, col("tgt").asc)
-    SimMatrix(
-      df.withColumn("rn", row_number().over(w)).where(col("rn") <= k).drop("rn"))
-  }
+final class SimMatrix private (
+    val spark: SparkSession,
+    val numRows: Int,
+    val numCols: Int,
+    val rowPtr: Array[Int],
+    val tgt: Array[Int],
+    val score: Array[Double]) {
 
   /** Number of stored cells. */
-  def nnz: Long = df.count()
+  def nnz: Long = tgt.length.toLong
 
-  def cache(): SimMatrix = { df.cache(); df.count(); this }
-  def unpersist(): Unit = df.unpersist()
+  /** Row `s` as (tgt, score) in rank order; empty outside the matrix. */
+  def row(s: Int): Array[(Int, Double)] =
+    if (s < 0 || s >= numRows) Array.empty
+    else (rowPtr(s) until rowPtr(s + 1)).map(i => (tgt(i), score(i))).toArray
 
-  /** Rows as a driver-side map src -> sorted (tgt, score) desc. */
-  def collectRows(): Map[Long, Array[(Long, Double)]] =
-    df.select("src", "tgt", "score").collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
-      .groupBy(_._1)
-      .map { case (s, arr) =>
-        s -> arr.map(x => (x._2, x._3)).sortBy { case (t, sc) => (-sc, t) }
-      }
+  /** 1-based rank of cell (s, t) in row s, or 0 if the cell is not stored. */
+  def rank(s: Long, t: Long): Int =
+    if (s < 0 || s >= numRows) 0
+    else (rowPtr(s.toInt) until rowPtr(s.toInt + 1)).indexWhere(tgt(_) == t) + 1
+
+  /** Every cell as (src, tgt, score), row by row in rank order. */
+  def cells: Iterator[(Int, Int, Double)] =
+    Iterator.range(0, numRows).flatMap(s => row(s).iterator.map { case (t, v) => (s, t, v) })
+
+  /** this + weight·other over the union of supports; a shared cell scores
+    * `a + weight·b`.
+    */
+  def plus(other: SimMatrix, weight: Double = 1.0): SimMatrix = {
+    val nR = math.max(numRows, other.numRows)
+    val src = Array.newBuilder[Int]
+    val tgtOut = Array.newBuilder[Int]
+    val scoreOut = Array.newBuilder[Double]
+    val b = Array.fill(math.max(numCols, other.numCols))(Double.NaN) // weight·other's row s; NaN: no cell
+    for (s <- 0 until nR) {
+      val bRow = other.row(s)
+      bRow.foreach { case (t, v) => b(t) = weight * v }
+      for ((t, v) <- row(s)) { src += s; tgtOut += t; scoreOut += (if (b(t).isNaN) v else v + b(t)); b(t) = Double.NaN }
+      for ((t, _) <- bRow if !b(t).isNaN) { src += s; tgtOut += t; scoreOut += b(t); b(t) = Double.NaN }
+    }
+    SimMatrix.fromBlocks(spark, nR, b.length, Seq(SimMatrix.Block(src.result(), tgtOut.result(), scoreOut.result())))
+  }
+
+  /** A no-op: the matrix already lives in local memory. */
+  def cache(): SimMatrix = this
+
+  /** The cells as a DataFrame (src: Long, tgt: Long, score: Double). */
+  lazy val df: DataFrame = {
+    import spark.implicits._
+    spark.sparkContext.parallelize(cells.map { case (s, t, v) => (s.toLong, t.toLong, v) }.toArray.toSeq)
+      .toDF("src", "tgt", "score")
+  }
 }
 
 object SimMatrix {
 
-  /** Build from driver-side sparse rows. */
-  def fromLocal(spark: SparkSession, rows: Iterable[(Long, Long, Double)]): SimMatrix = {
-    import spark.implicits._
-    SimMatrix(rows.toSeq.toDF("src", "tgt", "score"))
+  /** Cells from one task, in any order: cell i is (src(i), tgt(i), score(i)). */
+  final case class Block(src: Array[Int], tgt: Array[Int], score: Array[Double])
+
+  /** Build from local cells (src, tgt, score). */
+  def fromLocal(spark: SparkSession, rows: Iterable[(Long, Long, Double)], numRows: Int, numCols: Int): SimMatrix = {
+    def id(x: Long): Int = x.max(-1L).min(Int.MaxValue.toLong).toInt // out of range stays out of range
+    fromBlocks(spark, numRows, numCols,
+      Seq(Block(rows.map(c => id(c._1)).toArray, rows.map(c => id(c._2)).toArray, rows.map(_._3).toArray)))
+  }
+
+  /** Build from the cell blocks of parallel tasks. Throws
+    * IllegalArgumentException on a negative or out-of-shape id, or on a
+    * cell stored twice.
+    */
+  def fromBlocks(spark: SparkSession, numRows: Int, numCols: Int, blocks: Seq[Block]): SimMatrix = {
+    // counting sort by row; it is stable, so rows that arrive in rank order stay so
+    val ptr = new Array[Int](numRows + 1)
+    for (b <- blocks; i <- b.src.indices) {
+      val (s, t) = (b.src(i), b.tgt(i))
+      require(s >= 0 && t >= 0, s"negative id in cell ($s, $t)")
+      require(s < numRows && t < numCols, s"cell ($s, $t) outside the $numRows x $numCols shape")
+      ptr(s + 1) += 1
+    }
+    for (s <- 0 until numRows) ptr(s + 1) += ptr(s)
+    val next = ptr.clone()
+    val tgt = new Array[Int](ptr(numRows))
+    val score = new Array[Double](tgt.length)
+    for (b <- blocks; i <- b.src.indices) {
+      val j = next(b.src(i))
+      tgt(j) = b.tgt(i); score(j) = b.score(i)
+      next(b.src(i)) = j + 1
+    }
+    val lastRow = Array.fill(numCols)(-1) // the last row that stored target t
+    for (s <- 0 until numRows) {
+      for (i <- ptr(s) until ptr(s + 1)) {
+        require(lastRow(tgt(i)) != s, s"cell ($s, ${tgt(i)}) is stored twice")
+        lastRow(tgt(i)) = s
+      }
+      sortRow(tgt, score, ptr(s), ptr(s + 1))
+    }
+    new SimMatrix(spark, numRows, numCols, ptr, tgt, score)
   }
 
   /** The empty matrix. */
-  def empty(spark: SparkSession): SimMatrix = fromLocal(spark, Nil)
+  def empty(spark: SparkSession): SimMatrix = fromBlocks(spark, 0, 0, Nil)
+
+  /** Insertion sort of cells [from, until) by score desc, then target asc:
+    * rows are short (top-k) and usually arrive in order.
+    */
+  private def sortRow(tgt: Array[Int], score: Array[Double], from: Int, until: Int): Unit =
+    for (i <- from + 1 until until) {
+      val (t, v) = (tgt(i), score(i))
+      var j = i - 1
+      while (j >= from && (score(j) < v || (score(j) == v && tgt(j) > t))) {
+        tgt(j + 1) = tgt(j); score(j + 1) = score(j); j -= 1
+      }
+      tgt(j + 1) = t; score(j + 1) = v
+    }
 }

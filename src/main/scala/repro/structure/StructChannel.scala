@@ -50,13 +50,11 @@ object StructChannel {
     val bcTgtP = sc.broadcast(batches.tgtPart)
     val bcSeeds = sc.broadcast(seeds)
 
-    val rows = sc.parallelize(0 until batches.k, batches.k).flatMap { b =>
+    val blocks = sc.parallelize(0 until batches.k, batches.k).map { b =>
       trainBatch(b, nS, nT, bcSrcT.value, bcTgtT.value,
                  bcSrcP.value, bcTgtP.value, bcSeeds.value, cfg, topK)
-    }
-
-    import spark.implicits._
-    SimMatrix(rows.toDF("src", "tgt", "score"))
+    }.collect()
+    SimMatrix.fromBlocks(spark, nS, nT, blocks)
   }
 
   /** Mutual nearest neighbours between two embedding sets, excluding
@@ -102,7 +100,7 @@ object StructChannel {
       .toArray
   }
 
-  /** Train one mini-batch and emit its similarity rows. */
+  /** Train one mini-batch and emit its similarity rows, each in rank order. */
   private def trainBatch(
       b: Int, nS: Int, nT: Int,
       srcTriples: Array[(Int, Int, Int)],
@@ -111,12 +109,12 @@ object StructChannel {
       tgtPart: Array[Int],
       seeds: Array[(Long, Long)],
       cfg: GnnEA.Config,
-      topK: Int): Iterator[(Long, Long, Double)] = {
+      topK: Int): SimMatrix.Block = {
 
     // ---- local id spaces for the batch subgraphs ---------------------------
     val srcIds = (0 until nS).filter(srcPart(_) == b).toArray
     val tgtIds = (0 until nT).filter(tgtPart(_) == b).toArray
-    if (srcIds.isEmpty || tgtIds.isEmpty) return Iterator.empty
+    if (srcIds.isEmpty || tgtIds.isEmpty) return SimMatrix.Block(Array.empty, Array.empty, Array.empty)
     val srcLocal = srcIds.zipWithIndex.toMap
     val tgtLocal = tgtIds.zipWithIndex.toMap
 
@@ -161,14 +159,12 @@ object StructChannel {
     }
 
     // ---- Manhattan similarity rows, top-k per source ------------------------
+    // tgtIds ascends, so topK's lower-index tiebreak is a lower-target one
     val k = math.min(topK, tgtIds.length)
-    srcIds.indices.iterator.flatMap { i =>
-      val scores = new Array[Double](tgtIds.length)
-      var j = 0
-      while (j < tgtIds.length) { scores(j) = VecOps.manhattanSim(hs(i), ht(j)); j += 1 }
-      VecOps.topK(scores, k).iterator.map { case (j, s) =>
-        (srcIds(i).toLong, tgtIds(j).toLong, s)
-      }
+    val rows = srcIds.indices.map { i =>
+      VecOps.topK(Array.tabulate(tgtIds.length)(j => VecOps.manhattanSim(hs(i), ht(j))), k)
     }
+    SimMatrix.Block(srcIds.flatMap(Array.fill(k)(_)),
+      rows.flatMap(_.map(c => tgtIds(c._1))).toArray, rows.flatMap(_.map(_._2)).toArray)
   }
 }

@@ -13,7 +13,7 @@ class MetricsSpec extends SparkSpec {
   private lazy val sim = SimMatrix.fromLocal(spark, Seq(
     (0L, 0L, 0.9), (0L, 5L, 0.5),
     (1L, 9L, 0.8), (1L, 1L, 0.7), (1L, 3L, 0.1),
-    (2L, 7L, 0.6)))
+    (2L, 7L, 0.6)), 16, 16)
   private lazy val test3 = Seq((0L, 0L), (1L, 1L), (2L, 2L)).toDF("src", "tgt")
 
   test("hand-computed H@1/H@5/MRR") {
@@ -24,12 +24,10 @@ class MetricsSpec extends SparkSpec {
     assert(math.abs(s.mrr - (1.0 + 0.5) / 3) < 1e-12)
   }
 
-  test("evaluateLocal matches evaluate (Spark)") {
-    val spark_ = Metrics.evaluate(sim, test3)
-    val local = Metrics.evaluateLocal(sim.collectRows(), Array((0L, 0L), (1L, 1L), (2L, 2L)))
-    assert(math.abs(spark_.hits1 - local.hits1) < 1e-12)
-    assert(math.abs(spark_.hits5 - local.hits5) < 1e-12)
-    assert(math.abs(spark_.mrr - local.mrr) < 1e-12)
+  test("evaluate on test pairs matches evaluate on the test DataFrame") {
+    val fromDf = Metrics.evaluate(sim, test3)
+    val fromPairs = Metrics.evaluate(sim, Array((2L, 2L), (1L, 1L), (0L, 0L)))
+    assert(fromDf == fromPairs)
   }
 
   test("rank computation agrees with DuckDB window ranking") {
@@ -58,14 +56,14 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("perfect matrix scores 1.0 across the board") {
-    val perfect = SimMatrix.fromLocal(spark, (0L until 10L).map(i => (i, i, 1.0)))
+    val perfect = SimMatrix.fromLocal(spark, (0L until 10L).map(i => (i, i, 1.0)), 16, 16)
     val t = (0L until 10L).map(i => (i, i)).toDF("src", "tgt")
     val s = Metrics.evaluate(perfect, t)
     assert(s.hits1 == 1.0 && s.hits5 == 1.0 && s.mrr == 1.0)
   }
 
   test("ties break by target id (deterministic)") {
-    val tied = SimMatrix.fromLocal(spark, Seq((0L, 1L, 0.5), (0L, 2L, 0.5)))
+    val tied = SimMatrix.fromLocal(spark, Seq((0L, 1L, 0.5), (0L, 2L, 0.5)), 16, 16)
     // true target 2 ranks behind tied target 1
     val s = Metrics.evaluate(tied, Seq((0L, 2L)).toDF("src", "tgt"))
     assert(s.hits1 == 0.0 && math.abs(s.mrr - 0.5) < 1e-12)
@@ -73,14 +71,15 @@ class MetricsSpec extends SparkSpec {
 
   test("hits5 counts rank exactly 5") {
     val row = (1L to 5L).map(t => (0L, t, 1.0 - t * 0.1))
-    val m = SimMatrix.fromLocal(spark, row)
+    val m = SimMatrix.fromLocal(spark, row, 16, 16)
     val s = Metrics.evaluate(m, Seq((0L, 5L)).toDF("src", "tgt"))
     assert(s.hits5 == 1.0 && s.hits1 == 0.0)
   }
 
-  test("evaluateLocal on empty inputs") {
-    assert(Metrics.evaluateLocal(Map.empty, Array.empty) == EaScores(0, 0, 0, 0))
-    assert(Metrics.evaluateLocal(Map.empty, Array((1L, 1L))).hits1 == 0.0)
+  test("evaluate on an empty matrix or empty test pairs") {
+    val empty = SimMatrix.empty(spark)
+    assert(Metrics.evaluate(empty, Array.empty[(Long, Long)]) == EaScores(0, 0, 0, 0))
+    assert(Metrics.evaluate(empty, Array((1L, 1L))) == EaScores(0, 0, 0, 1))
   }
 
   test("pretty formatting") {

@@ -81,6 +81,25 @@ class LargeEASpec extends SparkSpec {
     assert(full.timings.values.forall(_ >= 0))
   }
 
+  test("same scores, pseudo seeds and fused cells at 1, 8 and 64 shuffle partitions") {
+    // VPS: METIS-CPS reads `KG.undirectedEdges`, whose `distinct` hands
+    // METIS its edges in an order that depends on the shuffle partitions
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    val cfg = LargeEA.Config(model = GnnEA.Rrea, k = 3, strategy = Vps)
+    val runs =
+      try Seq(1, 8, 64).map { n =>
+        spark.conf.set(key, n.toString)
+        val r = LargeEA.run(spark, KGGen.generate(spark, Datasets.tiny()), cfg)
+        (r.scores, r.pseudoSeeds.toSeq, r.fused.rowPtr.toSeq, r.fused.tgt.toSeq, r.fused.score.toSeq)
+      } finally spark.conf.set(key, before)
+    assert(runs.head._2.nonEmpty && runs.head._4.nonEmpty)
+    val what = Seq("scores", "pseudo seeds", "fused rowPtr", "fused targets", "fused scores")
+    what.indices.foreach { i =>
+      assert(runs.map(_.productElement(i)).distinct.size == 1, s"${what(i)} differ across partition counts")
+    }
+  }
+
   test("LargeEA-G (GCN model) also runs and is reasonable") {
     val g = run(LargeEA.Config(model = GnnEA.Gcn, k = 3))
     info(s"LargeEA-G: ${g.scores.pretty}")

@@ -13,12 +13,13 @@ class NffDataAugSpec extends SparkSpec {
   private lazy val nff = Nff.compute(spark, ds, phi = 10)
 
   test("Mn = Mse + gamma*Mst on the union of supports") {
-    val mse = SimMatrix.fromLocal(spark, Seq((0L, 1L, 0.8), (0L, 2L, 0.5)))
-    val mst = SimMatrix.fromLocal(spark, Seq((0L, 1L, 1.0), (3L, 3L, 0.4)))
-    val mn = mse.plus(mst, 0.05).collectRows()
-    assert(math.abs(mn(0L).find(_._1 == 1L).get._2 - 0.85) < 1e-12)
-    assert(math.abs(mn(0L).find(_._1 == 2L).get._2 - 0.5) < 1e-12)
-    assert(math.abs(mn(3L).find(_._1 == 3L).get._2 - 0.02) < 1e-12)
+    val mse = SimMatrix.fromLocal(spark, Seq((0L, 1L, 0.8), (0L, 2L, 0.5)), 16, 16)
+    val mst = SimMatrix.fromLocal(spark, Seq((0L, 1L, 1.0), (3L, 3L, 0.4)), 16, 16)
+    val mn = mse.plus(mst, 0.05)
+    assert(mn.row(0).map(_._1).toSeq == Seq(1, 2))
+    assert(math.abs(mn.row(0)(0)._2 - 0.85) < 1e-12)
+    assert(math.abs(mn.row(0)(1)._2 - 0.5) < 1e-12)
+    assert(math.abs(mn.row(3)(0)._2 - 0.02) < 1e-12)
   }
 
   test("NFF produces all three matrices with sane sizes") {
@@ -33,12 +34,15 @@ class NffDataAugSpec extends SparkSpec {
     assert(scores.hits1 > 0.7)
   }
 
-  test("pseudo seeds are mutual nearest neighbours (oracle SQL)") {
-    val pseudo = DataAug.pseudoSeeds(nff.mn)
+  /** The reference definition of DA: window ranks on both sides, then the
+    * runner-up margin.
+    */
+  private def assertOracleSeeds(mn: SimMatrix, margin: Double): Unit = {
+    val pseudo = DataAug.pseudoSeeds(mn, margin)
       .select(col("src").cast("string").as("src"), col("tgt").cast("string").as("tgt"))
     Oracle.assertEquivalent(
       pseudo,
-      """WITH ranked AS (
+      s"""WITH ranked AS (
         |  SELECT src, tgt, CAST(score AS DOUBLE) AS s,
         |    ROW_NUMBER() OVER (PARTITION BY src
         |      ORDER BY CAST(score AS DOUBLE) DESC, CAST(tgt AS BIGINT) ASC) AS rs,
@@ -49,8 +53,26 @@ class NffDataAugSpec extends SparkSpec {
         |SELECT r.src AS src, r.tgt AS tgt
         |FROM ranked r LEFT JOIN second x ON r.src = x.src
         |WHERE r.rs = 1 AND r.rt = 1
-        |  AND (x.second IS NULL OR r.s >= x.second * 1.02)""".stripMargin,
-      "mn" -> nff.mn.df)
+        |  AND (x.second IS NULL OR r.s >= x.second * CAST('$margin' AS DOUBLE))""".stripMargin,
+      "mn" -> mn.df)
+  }
+
+  test("pseudo seeds are mutual nearest neighbours (oracle SQL)") {
+    assertOracleSeeds(nff.mn, 1.02)
+  }
+
+  test("pseudo seeds on argmax ties and at the exact margin match the oracle SQL") {
+    val atMargin = 0.25 * 1.02
+    val mn = SimMatrix.fromLocal(spark, Seq(
+      (0L, 1L, 0.9), (0L, 2L, 0.9),                    // row argmax tie: target 1 wins
+      (3L, 5L, 0.8), (3L, 6L, 0.1),                    // column argmax tie on 5:
+      (4L, 5L, 0.8), (4L, 7L, 0.1),                    //   source 3 wins
+      (8L, 9L, atMargin), (8L, 10L, 0.25),             // exactly second * 1.02: a seed
+      (11L, 12L, math.nextDown(atMargin)), (11L, 13L, 0.25)), 16, 16) // just below: not one
+    assert(DataAug.pseudoSeedPairs(mn).toSeq == Seq((3L, 5L), (8L, 9L)))
+    assert(DataAug.pseudoSeedPairs(mn, margin = 1.0).toSeq == Seq((0L, 1L), (3L, 5L), (8L, 9L), (11L, 12L)))
+    assertOracleSeeds(mn, 1.02)
+    assertOracleSeeds(mn, 1.0)
   }
 
   test("pseudo seeds are 1-to-1") {

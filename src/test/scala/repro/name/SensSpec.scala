@@ -13,28 +13,28 @@ class SensSpec extends SparkSpec {
   test("top-k matches brute force exactly") {
     val src = vecs(40, 16, 100)
     val tgt = vecs(60, 16, 900)
-    val got = Sens.similarity(spark, src, tgt, k = 5, segments = 3).collectRows()
+    val got = Sens.similarity(spark, src, tgt, k = 5, segments = 3)
     src.indices.foreach { i =>
       val brute = tgt.indices
-        .map(j => (j.toLong, VecOps.manhattanSim(src(i), tgt(j))))
+        .map(j => (j, VecOps.manhattanSim(src(i), tgt(j))))
         .sortBy { case (j, s) => (-s, j) }.take(5)
-      assert(got(i.toLong).toSeq == brute, s"row $i differs")
+      assert(got.row(i).toSeq == brute, s"row $i differs")
     }
   }
 
   test("segment count does not change the result") {
     val src = vecs(25, 8, 7)
     val tgt = vecs(33, 8, 77)
-    val a = Sens.similarity(spark, src, tgt, k = 4, segments = 1).collectRows()
-    val b = Sens.similarity(spark, src, tgt, k = 4, segments = 5).collectRows()
-    assert(a.view.mapValues(_.toSeq).toMap == b.view.mapValues(_.toSeq).toMap)
+    val a = Sens.similarity(spark, src, tgt, k = 4, segments = 1)
+    val b = Sens.similarity(spark, src, tgt, k = 4, segments = 5)
+    assert(src.indices.map(a.row(_).toSeq) == src.indices.map(b.row(_).toSeq))
   }
 
   test("k larger than target count returns all targets") {
     val src = vecs(5, 8, 1)
     val tgt = vecs(3, 8, 2)
-    val rows = Sens.similarity(spark, src, tgt, k = 10).collectRows()
-    assert(rows.values.forall(_.length == 3))
+    val m = Sens.similarity(spark, src, tgt, k = 10)
+    assert(src.indices.forall(m.row(_).length == 3))
   }
 
   test("nnz is exactly k per source row") {
@@ -45,10 +45,10 @@ class SensSpec extends SparkSpec {
   test("identical vector ranks first with similarity 1") {
     val src = vecs(10, 8, 5)
     val tgt = src.map(_.clone) // identical
-    val rows = Sens.similarity(spark, src, tgt, k = 3).collectRows()
+    val m = Sens.similarity(spark, src, tgt, k = 3)
     (0 until 10).foreach { i =>
-      val (bestT, bestS) = rows(i.toLong).head
-      assert(bestT == i.toLong && math.abs(bestS - 1.0) < 1e-6)
+      val (bestT, bestS) = m.row(i).head
+      assert(bestT == i && math.abs(bestS - 1.0) < 1e-6)
     }
   }
 
@@ -76,8 +76,7 @@ class SensSpec extends SparkSpec {
     val bert = new PseudoBert(ds.lexicon, 32)
     val m = Sens.similarity(spark,
       bert.embedAll(ds.source.namesArray), bert.embedAll(ds.target.namesArray), k = 10)
-    val rows = m.collectRows()
-    val hits = ds.truthPairs.count { case (s, t) => rows(s).headOption.exists(_._1 == t) }
+    val hits = ds.truthPairs.count { case (s, t) => m.row(s.toInt).headOption.exists(_._1 == t) }
     info(s"SENS-only H@1 on tiny: ${hits / 300.0}")
     assert(hits > 200, s"SENS should align most clean names, got $hits/300")
   }

@@ -57,9 +57,9 @@ class StnsSpec extends SparkSpec with PropHelper {
   test("similarity matrix contains exact-name matches at score 1") {
     val src = Array("kamoti velsu", "dorne hel", "warden north")
     val tgt = Array("warden north", "kamoti velsu", "unrelated zzz")
-    val rows = Stns.similarity(spark, src, tgt, theta = 0.5).collectRows()
-    assert(rows(0L).exists { case (t, s) => t == 1L && s == 1.0 })
-    assert(rows(2L).exists { case (t, s) => t == 0L && s == 1.0 })
+    val m = Stns.similarity(spark, src, tgt, theta = 0.5)
+    assert(m.row(0).exists { case (t, s) => t == 1 && s == 1.0 })
+    assert(m.row(2).exists { case (t, s) => t == 0 && s == 1.0 })
   }
 
   test("theta filters out dissimilar pairs") {
@@ -72,29 +72,24 @@ class StnsSpec extends SparkSpec with PropHelper {
   test("near-duplicates survive the LSH + theta pipeline") {
     val src = Array("bonjour tout le monde", "kamoti velsu dorne")
     val tgt = Array("bonjour tout le mond", "kamoti velsu dorn")
-    val rows = Stns.similarity(spark, src, tgt, theta = 0.4).collectRows()
-    assert(rows.contains(0L) && rows(0L).exists(_._1 == 0L))
-    assert(rows.contains(1L) && rows(1L).exists(_._1 == 1L))
+    val m = Stns.similarity(spark, src, tgt, theta = 0.4)
+    assert(m.row(0).exists(_._1 == 0))
+    assert(m.row(1).exists(_._1 == 1))
   }
 
   test("matrix scores equal direct levenshteinSim (oracle re-check)") {
     val src = Array("kamoti velsu", "dorne helan")
     val tgt = Array("kamoti velsue", "dorne helan")
-    val rows = Stns.similarity(spark, src, tgt, theta = 0.3).collectRows()
-    rows.foreach { case (s, cands) =>
-      cands.foreach { case (t, score) =>
-        assert(math.abs(score - Stns.levenshteinSim(src(s.toInt), tgt(t.toInt))) < 1e-12)
-      }
-    }
+    val m = Stns.similarity(spark, src, tgt, theta = 0.3)
+    assert(m.nnz > 0)
+    for (s <- src.indices; (t, score) <- m.row(s))
+      assert(math.abs(score - Stns.levenshteinSim(src(s), tgt(t))) < 1e-12)
   }
 
   test("on the tiny dataset STNS finds most aligned pairs at theta=0.3") {
     val ds = repro.kg.KGGen.generate(spark, repro.exp.Datasets.tiny())
-    val rows = Stns.similarity(
-      spark, ds.source.namesArray, ds.target.namesArray, theta = 0.3).collectRows()
-    val found = ds.truthPairs.count { case (s, t) =>
-      rows.get(s).exists(_.exists(_._1 == t))
-    }
+    val m = Stns.similarity(spark, ds.source.namesArray, ds.target.namesArray, theta = 0.3)
+    val found = ds.truthPairs.count { case (s, t) => m.rank(s, t) > 0 }
     info(s"STNS candidate recall on tiny: ${found / 300.0}")
     assert(found > 150, s"too few aligned pairs survive LSH: $found/300")
   }

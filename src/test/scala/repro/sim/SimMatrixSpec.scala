@@ -7,22 +7,24 @@ import org.apache.spark.sql.functions._
 class SimMatrixSpec extends SparkSpec {
 
   private lazy val a = SimMatrix.fromLocal(spark,
-    Seq((0L, 0L, 0.9), (0L, 1L, 0.3), (1L, 1L, 0.7), (2L, 0L, 0.2)))
+    Seq((0L, 0L, 0.9), (0L, 1L, 0.3), (1L, 1L, 0.7), (2L, 0L, 0.2)), 16, 16)
   private lazy val b = SimMatrix.fromLocal(spark,
-    Seq((0L, 0L, 0.1), (1L, 2L, 0.5), (3L, 3L, 1.0)))
+    Seq((0L, 0L, 0.1), (1L, 2L, 0.5), (3L, 3L, 1.0)), 16, 16)
+
+  private def scoreOf(m: SimMatrix, s: Int, t: Int): Double = m.row(s).find(_._1 == t).get._2
 
   test("plus adds over the union of supports") {
-    val rows = a.plus(b).collectRows()
-    assert(math.abs(rows(0L).find(_._1 == 0L).get._2 - 1.0) < 1e-12)
-    assert(math.abs(rows(1L).find(_._1 == 2L).get._2 - 0.5) < 1e-12)
-    assert(math.abs(rows(3L).find(_._1 == 3L).get._2 - 1.0) < 1e-12)
-    assert(rows.values.map(_.length).sum == 6)
+    val m = a.plus(b)
+    assert(math.abs(scoreOf(m, 0, 0) - 1.0) < 1e-12)
+    assert(math.abs(scoreOf(m, 1, 2) - 0.5) < 1e-12)
+    assert(math.abs(scoreOf(m, 3, 3) - 1.0) < 1e-12)
+    assert(m.nnz == 6)
   }
 
   test("plus with weight scales the other matrix") {
-    val rows = a.plus(b, 0.5).collectRows()
-    assert(math.abs(rows(0L).find(_._1 == 0L).get._2 - 0.95) < 1e-12)
-    assert(math.abs(rows(3L).find(_._1 == 3L).get._2 - 0.5) < 1e-12)
+    val m = a.plus(b, 0.5)
+    assert(math.abs(scoreOf(m, 0, 0) - 0.95) < 1e-12)
+    assert(math.abs(scoreOf(m, 3, 3) - 0.5) < 1e-12)
   }
 
   test("plus agrees with DuckDB full-outer sum") {
@@ -40,21 +42,19 @@ class SimMatrixSpec extends SparkSpec {
       "ma" -> a.df, "mb" -> b.df)
   }
 
-  test("topK keeps the k best per source") {
-    val m = SimMatrix.fromLocal(spark,
-      Seq((0L, 0L, 0.1), (0L, 1L, 0.9), (0L, 2L, 0.5), (1L, 0L, 0.2)))
-    val rows = m.topK(2).collectRows()
-    assert(rows(0L).map(_._1).toSeq == Seq(1L, 2L))
-    assert(rows(1L).map(_._1).toSeq == Seq(0L))
+  test("plus re-sorts a row whose order the sum changes") {
+    val m = a.plus(SimMatrix.fromLocal(spark, Seq((0L, 1L, 0.7)), 16, 16))
+    assert(m.row(0).toSeq == Seq((1, 1.0), (0, 0.9)))
+    assert(m.rank(0, 0) == 2)
   }
 
-  test("topK ties break by target id ascending (oracle)") {
+  test("row order ties break by target id ascending (oracle)") {
     val m = SimMatrix.fromLocal(spark,
-      Seq((0L, 5L, 0.5), (0L, 3L, 0.5), (0L, 9L, 0.5)))
-    val got = m.topK(2).df.select(
-      col("src").cast("string").as("src"), col("tgt").cast("string").as("tgt"))
+      Seq((0L, 5L, 0.5), (0L, 3L, 0.5), (0L, 9L, 0.5), (1L, 2L, 0.1), (1L, 4L, 0.8)), 16, 16)
+    val firstTwo = for (s <- 0 until m.numRows; (t, _) <- m.row(s).take(2)) yield (s.toString, t.toString)
+    import spark.implicits._
     Oracle.assertEquivalent(
-      got,
+      firstTwo.toDF("src", "tgt"),
       """SELECT src, tgt FROM (
         |  SELECT src, tgt, ROW_NUMBER() OVER (PARTITION BY src
         |    ORDER BY CAST(score AS DOUBLE) DESC, CAST(tgt AS BIGINT) ASC) AS rn
@@ -67,13 +67,47 @@ class SimMatrixSpec extends SparkSpec {
     assert(SimMatrix.empty(spark).nnz == 0)
   }
 
-  test("collectRows sorts each row desc with id tiebreak") {
+  test("rows are sorted by score desc with target id tiebreak") {
     val m = SimMatrix.fromLocal(spark,
-      Seq((0L, 2L, 0.5), (0L, 1L, 0.5), (0L, 3L, 0.9)))
-    assert(m.collectRows()(0L).toSeq == Seq((3L, 0.9), (1L, 0.5), (2L, 0.5)))
+      Seq((0L, 2L, 0.5), (0L, 1L, 0.5), (0L, 3L, 0.9)), 16, 16)
+    assert(m.row(0).toSeq == Seq((3, 0.9), (1, 0.5), (2, 0.5)))
+    assert(m.rank(0, 2) == 3 && m.rank(0, 7) == 0 && m.rank(5, 2) == 0)
+  }
+
+  test("blocks from several tasks assemble into one CSR") {
+    val m = SimMatrix.fromBlocks(spark, 3, 4, Seq(
+      SimMatrix.Block(Array(2, 0), Array(1, 3), Array(0.4, 0.2)),
+      SimMatrix.Block(Array(0, 2), Array(1, 0), Array(0.6, 0.4))))
+    assert(m.row(0).toSeq == Seq((1, 0.6), (3, 0.2)))
+    assert(m.row(1).isEmpty)
+    assert(m.row(2).toSeq == Seq((0, 0.4), (1, 0.4)))
+    assert(m.rowPtr.toSeq == Seq(0, 2, 2, 4))
   }
 
   test("empty matrix plus empty is empty") {
     assert(SimMatrix.empty(spark).plus(SimMatrix.empty(spark)).nnz == 0)
+  }
+
+  test("a negative id is rejected") {
+    intercept[IllegalArgumentException](SimMatrix.fromLocal(spark, Seq((-1L, 0L, 0.5)), 16, 16))
+    intercept[IllegalArgumentException](SimMatrix.fromLocal(spark, Seq((0L, -2L, 0.5)), 2, 2))
+    intercept[IllegalArgumentException](
+      SimMatrix.fromBlocks(spark, 2, 2, Seq(SimMatrix.Block(Array(0), Array(-1), Array(0.5)))))
+  }
+
+  test("an id outside the declared shape is rejected") {
+    intercept[IllegalArgumentException](SimMatrix.fromLocal(spark, Seq((2L, 0L, 0.5)), 2, 2))
+    intercept[IllegalArgumentException](SimMatrix.fromLocal(spark, Seq((0L, 2L, 0.5)), 2, 2))
+    intercept[IllegalArgumentException](SimMatrix.fromLocal(spark, Seq((1L << 31, 0L, 0.5)), 16, 16))
+    intercept[IllegalArgumentException](SimMatrix.fromLocal(spark, Seq((0L, 1L << 32, 0.5)), 16, 16))
+    intercept[IllegalArgumentException](
+      SimMatrix.fromBlocks(spark, 2, 2, Seq(SimMatrix.Block(Array(5), Array(0), Array(0.5)))))
+  }
+
+  test("a cell stored twice is rejected") {
+    intercept[IllegalArgumentException](SimMatrix.fromLocal(spark, Seq((0L, 1L, 0.5), (0L, 1L, 0.3)), 16, 16))
+    intercept[IllegalArgumentException](SimMatrix.fromBlocks(spark, 2, 2, Seq(
+      SimMatrix.Block(Array(1), Array(1), Array(0.5)),
+      SimMatrix.Block(Array(1), Array(1), Array(0.5)))))
   }
 }
