@@ -91,21 +91,130 @@ object VecOps {
     out
   }
 
-  /** Exact top-k by descending score with a bounded min-heap; ties broken by
-    * lower index for determinism. Returns (index, score) sorted desc.
-    */
-  def topK(scores: Array[Double], k: Int): Array[(Int, Double)] = {
-    val pq = new scala.collection.mutable.PriorityQueue[(Int, Double)]()(
-      Ordering.by[(Int, Double), (Double, Int)] { case (i, s) => (-s, i) })
+  /** Rows of equal length `dim` laid end to end: row i is `i*dim until (i+1)*dim`. */
+  def flatten(rows: Array[Array[Float]]): Array[Float] = {
+    val dim = if (rows.isEmpty) 0 else rows(0).length
+    val out = new Array[Float](rows.length * dim)
     var i = 0
-    while (i < scores.length) {
-      if (pq.size < k) pq.enqueue((i, scores(i)))
-      else if (scores(i) > pq.head._2 ||
-               (scores(i) == pq.head._2 && i < pq.head._1)) {
-        pq.dequeue(); pq.enqueue((i, scores(i)))
-      }
-      i += 1
+    while (i < rows.length) {
+      require(rows(i).length == dim, s"row $i has length ${rows(i).length}, not $dim")
+      System.arraycopy(rows(i), 0, out, i * dim, dim); i += 1
     }
-    pq.dequeueAll.toArray.reverse
+    out
+  }
+
+  /** `out(t) = manhattanSim(row, target t)` for every target of the flat
+    * row-major matrix `targets` (row length `row.length`). Four targets are
+    * summed per pass over `row`, each in its own double accumulator in
+    * `manhattan`'s order of additions, so every score has `manhattanSim`'s
+    * bits. Rows must not be empty.
+    */
+  def l1Sims(row: Array[Float], targets: Array[Float], out: Array[Double]): Unit = {
+    val dim = row.length
+    require(dim > 0 && targets.length == out.length * dim,
+      s"${targets.length} target floats do not hold ${out.length} rows of length $dim")
+    val n = out.length
+    var t = 0
+    while (t + 4 <= n) {
+      val o0 = t * dim; val o1 = o0 + dim; val o2 = o1 + dim; val o3 = o2 + dim
+      var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
+      var d = 0
+      while (d < dim) {
+        val x = row(d)
+        s0 += math.abs(x - targets(o0 + d))
+        s1 += math.abs(x - targets(o1 + d))
+        s2 += math.abs(x - targets(o2 + d))
+        s3 += math.abs(x - targets(o3 + d))
+        d += 1
+      }
+      out(t) = 1.0 / (1.0 + s0); out(t + 1) = 1.0 / (1.0 + s1)
+      out(t + 2) = 1.0 / (1.0 + s2); out(t + 3) = 1.0 / (1.0 + s3)
+      t += 4
+    }
+    while (t < n) {
+      val o = t * dim
+      var s = 0.0
+      var d = 0
+      while (d < dim) { s += math.abs(row(d) - targets(o + d)); d += 1 }
+      out(t) = 1.0 / (1.0 + s)
+      t += 1
+    }
+  }
+
+  /** Exact top-k of `row` against the flat row-major `targets` by
+    * `manhattanSim`, in rank order: (target index, score), score desc, then
+    * index asc.
+    */
+  def l1TopK(row: Array[Float], targets: Array[Float], k: Int): (Array[Int], Array[Double]) = {
+    val top = new TopK(k)
+    val sims = new Array[Double](if (row.isEmpty) 0 else targets.length / row.length)
+    l1Sims(row, targets, sims)
+    var t = 0
+    while (t < sims.length) { top.offer(sims(t), t); t += 1 }
+    top.result()
+  }
+}
+
+/** The k best (score, index) offers, by score desc, then index asc: ties go
+  * to the lower index whatever the offer order. A bounded min-heap over
+  * primitive arrays whose root is the worst kept offer; k = 0 keeps nothing.
+  */
+final class TopK(k: Int) {
+  require(k >= 0, s"k must be >= 0, got $k")
+  private val score = new Array[Double](k)
+  private val index = new Array[Int](k)
+  private var size = 0
+
+  /** Offer `s` for index `i`. */
+  def offer(s: Double, i: Int): Unit =
+    if (size < k) {
+      score(size) = s; index(size) = i; size += 1
+      siftUp(size - 1)
+    } else if (k > 0 && (s > score(0) || (s == score(0) && i < index(0)))) {
+      score(0) = s; index(0) = i
+      siftDown(0, size)
+    }
+
+  /** The kept offers in rank order, as (indices, scores). Empties the heap. */
+  def result(): (Array[Int], Array[Double]) = {
+    val n = size
+    // heap sort: each pass moves the worst remaining offer to the back
+    var end = n - 1
+    while (end > 0) {
+      swap(0, end)
+      siftDown(0, end)
+      end -= 1
+    }
+    size = 0
+    (java.util.Arrays.copyOf(index, n), java.util.Arrays.copyOf(score, n))
+  }
+
+  /** (s, i) ranks below slot j. */
+  private def worse(s: Double, i: Int, j: Int): Boolean =
+    s < score(j) || (s == score(j) && i > index(j))
+
+  private def siftUp(from: Int): Unit = {
+    var c = from
+    while (c > 0 && worse(score(c), index(c), (c - 1) / 2)) {
+      swap(c, (c - 1) / 2); c = (c - 1) / 2
+    }
+  }
+
+  private def siftDown(from: Int, n: Int): Unit = {
+    var p = from
+    var done = false
+    while (!done) {
+      val l = 2 * p + 1
+      if (l >= n) done = true
+      else {
+        val c = if (l + 1 < n && worse(score(l + 1), index(l + 1), l)) l + 1 else l
+        if (worse(score(c), index(c), p)) { swap(c, p); p = c } else done = true
+      }
+    }
+  }
+
+  private def swap(a: Int, b: Int): Unit = {
+    val s = score(a); score(a) = score(b); score(b) = s
+    val i = index(a); index(a) = index(b); index(b) = i
   }
 }

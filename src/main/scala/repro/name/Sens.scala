@@ -12,10 +12,10 @@ import repro.sim.SimMatrix
   * top-k cells populate Mse.
   *
   * This is an *exact* re-implementation of the same output: the target
-  * matrix is broadcast in K segments and each source row streams over the
-  * segments keeping a bounded top-k heap (identical result to merging the
-  * K per-segment top-k lists, with less bookkeeping). Spark parallelizes
-  * over source rows. Scores are 1/(1+L1), so fusion can add them.
+  * embeddings are broadcast as one flat row-major `Float` array, and each
+  * source row runs `VecOps.l1TopK` over all of it (identical result to
+  * merging the K per-segment top-k lists). Spark parallelizes over source
+  * rows. Scores are 1/(1+L1), so fusion can add them.
   */
 object Sens {
 
@@ -23,9 +23,11 @@ object Sens {
     *
     * @param srcVecs  semantic embeddings of the source entities (id-indexed)
     * @param tgtVecs  semantic embeddings of the target entities (id-indexed)
-    * @param k        top-k retained per source entity (paper φ = 50)
-    * @param segments number of target segments (paper's K); only affects
-    *                 traversal order / memory granularity, not the result
+    * @param k        top-k retained per source entity (paper φ = 50); k = 0
+    *                 keeps no cell, k < 0 throws IllegalArgumentException
+    * @param segments the paper's K target segments; it changes neither the
+    *                 result nor memory use (the whole target matrix is
+    *                 broadcast; `MemModel` covers the paper's memory bound)
     */
   def similarity(
       spark: SparkSession,
@@ -33,51 +35,15 @@ object Sens {
       tgtVecs: Array[Array[Float]],
       k: Int,
       segments: Int = 4): SimMatrix = {
-    val nT = tgtVecs.length
-    val segBounds: Array[(Int, Int)] = segmentBounds(nT, segments)
-    val bcTgt = spark.sparkContext.broadcast(tgtVecs)
-    val bcSeg = spark.sparkContext.broadcast(segBounds)
-
+    require(k >= 0, s"k must be >= 0, got $k")
+    val bcTgt = spark.sparkContext.broadcast(VecOps.flatten(tgtVecs))
     val blocks = spark.sparkContext
       .parallelize(srcVecs.zipWithIndex.toIndexedSeq, math.min(64, math.max(1, srcVecs.length / 256)))
       .map { case (sv, sid) =>
-        val tv = bcTgt.value
-        val segs = bcSeg.value
-        // bounded min-heap over (sim, tgt)
-        val heap = new java.util.PriorityQueue[(Double, Int)](
-          math.max(1, k),
-          (a: (Double, Int), b: (Double, Int)) =>
-            if (a._1 != b._1) java.lang.Double.compare(a._1, b._1)
-            else Integer.compare(b._2, a._2)) // higher id = worse on ties
-        for ((lo, hi) <- segs) {
-          var t = lo
-          while (t < hi) {
-            val sim = VecOps.manhattanSim(sv, tv(t))
-            if (heap.size < k) heap.add((sim, t))
-            else {
-              val worst = heap.peek()
-              if (sim > worst._1 || (sim == worst._1 && t < worst._2)) {
-                heap.poll(); heap.add((sim, t))
-              }
-            }
-            t += 1
-          }
-        }
-        // the heap yields the worst cell first: reversed, the row is in rank order
-        val row = Array.fill(heap.size)(heap.poll()).reverse
-        SimMatrix.Block(Array.fill(row.length)(sid), row.map(_._2), row.map(_._1))
+        val (tgt, score) = VecOps.l1TopK(sv, bcTgt.value, k)
+        SimMatrix.Block(Array.fill(tgt.length)(sid), tgt, score)
       }
       .collect()
-    SimMatrix.fromBlocks(spark, srcVecs.length, nT, blocks)
-  }
-
-  /** [lo, hi) bounds of `segments` near-equal slices of 0..n. */
-  private[name] def segmentBounds(n: Int, segments: Int): Array[(Int, Int)] = {
-    val s = math.max(1, segments)
-    Array.tabulate(s) { i =>
-      val lo = (n.toLong * i / s).toInt
-      val hi = (n.toLong * (i + 1) / s).toInt
-      (lo, hi)
-    }.filter { case (lo, hi) => hi > lo }
+    SimMatrix.fromBlocks(spark, srcVecs.length, tgtVecs.length, blocks)
   }
 }

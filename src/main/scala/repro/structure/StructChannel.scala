@@ -13,7 +13,8 @@ import repro.sim.SimMatrix
   * Manhattan-similarity rows between the batch's source and target
   * entities. The collected matrix Ms is block-diagonal sparse: entities in
   * different batches have no stored similarity — exactly the paper's
-  * memory-saving O(|Es|)-cells design (we keep top-k per source row).
+  * memory-saving O(|Es|)-cells design (we keep top-k per source row, found
+  * by `VecOps.l1TopK` over the batch's flat target embeddings).
   *
   * Batches are processed as Spark tasks (parallelize over batch ids with
   * the triples broadcast), mirroring the paper's embarrassingly parallel
@@ -26,7 +27,8 @@ object StructChannel {
     * @param batches mini-batch assignment from METIS-CPS / VPS (k = 1
     *                reproduces the paper's "w/o partition" setting)
     * @param seeds   training alignment ψ′ (possibly DA-augmented)
-    * @param topK    similarity cells kept per source entity within a batch
+    * @param topK    similarity cells kept per source entity within a batch;
+    *                0 keeps no cell, < 0 throws IllegalArgumentException
     */
   def computeMs(
       spark: SparkSession,
@@ -35,6 +37,7 @@ object StructChannel {
       seeds: Array[(Long, Long)],
       cfg: GnnEA.Config,
       topK: Int = 50): SimMatrix = {
+    require(topK >= 0, s"topK must be >= 0, got $topK")
 
     val nS = ds.source.numEntities.toInt
     val nT = ds.target.numEntities.toInt
@@ -57,46 +60,36 @@ object StructChannel {
     SimMatrix.fromBlocks(spark, nS, nT, blocks)
   }
 
-  /** Mutual nearest neighbours between two embedding sets, excluding
-    * already-anchored entities; ties broken by lower index.
+  /** Mutual nearest neighbours between two embedding sets, excluding the
+    * entities whose skip flag is set; ties broken by lower index. One pass
+    * over the free source × free target pairs keeps both the row argmax and
+    * the column argmax.
     */
   private[structure] def mutualNN(
       hs: Array[Array[Float]], ht: Array[Array[Float]],
-      skipS: Set[Int], skipT: Set[Int]): Array[(Int, Int)] = {
-    if (hs.isEmpty || ht.isEmpty) return Array.empty
-    val bestT = new Array[Int](hs.length)
-    var i = 0
-    while (i < hs.length) {
+      skipS: Array[Boolean], skipT: Array[Boolean]): Array[(Int, Int)] = {
+    val freeT = ht.indices.filterNot(skipT).toArray
+    if (hs.isEmpty || freeT.isEmpty) return Array.empty
+    val flatT = VecOps.flatten(freeT.map(ht))
+    val sims = new Array[Double](freeT.length)
+    val bestT = Array.fill(hs.length)(-1)      // row argmax, a position in freeT
+    val bestS = Array.fill(freeT.length)(-1)   // column argmax over free sources
+    val bestSSim = Array.fill(freeT.length)(-1.0)
+    for (i <- hs.indices if !skipS(i)) {
+      VecOps.l1Sims(hs(i), flatT, sims)
       var best = -1; var bestSim = -1.0
-      var j = 0
-      while (j < ht.length) {
-        if (!skipT.contains(j)) {
-          val s = VecOps.manhattanSim(hs(i), ht(j))
-          if (s > bestSim) { bestSim = s; best = j }
-        }
-        j += 1
+      var c = 0
+      while (c < sims.length) {
+        val s = sims(c)
+        if (s > bestSim) { bestSim = s; best = c }
+        if (s > bestSSim(c)) { bestSSim(c) = s; bestS(c) = i }
+        c += 1
       }
       bestT(i) = best
-      i += 1
     }
-    val bestS = new Array[Int](ht.length)
-    var j = 0
-    while (j < ht.length) {
-      var best = -1; var bestSim = -1.0
-      var i2 = 0
-      while (i2 < hs.length) {
-        if (!skipS.contains(i2)) {
-          val s = VecOps.manhattanSim(hs(i2), ht(j))
-          if (s > bestSim) { bestSim = s; best = i2 }
-        }
-        i2 += 1
-      }
-      bestS(j) = best
-      j += 1
-    }
-    (0 until hs.length).iterator
-      .filter(i => !skipS.contains(i) && bestT(i) >= 0 && bestS(bestT(i)) == i)
-      .map(i => (i, bestT(i)))
+    hs.indices.iterator
+      .filter(i => !skipS(i) && bestT(i) >= 0 && bestS(bestT(i)) == i)
+      .map(i => (i, freeT(bestT(i))))
       .toArray
   }
 
@@ -147,7 +140,8 @@ object StructChannel {
     // propagation is re-run. Anchor ids must not collide with ψ′ indices.
     var round = 0
     while (round < cfg.bootstrapRounds) {
-      val newPairs = mutualNN(hs, ht, srcAnchors.keySet.toSet, tgtAnchors.keySet.toSet)
+      val newPairs = mutualNN(hs, ht,
+        Array.tabulate(srcIds.length)(srcAnchors.contains), Array.tabulate(tgtIds.length)(tgtAnchors.contains))
       newPairs.zipWithIndex.foreach { case ((i, j), x) =>
         val id = (1L << 32) * (round + 1) + x
         srcAnchors(i) = id
@@ -159,12 +153,10 @@ object StructChannel {
     }
 
     // ---- Manhattan similarity rows, top-k per source ------------------------
-    // tgtIds ascends, so topK's lower-index tiebreak is a lower-target one
-    val k = math.min(topK, tgtIds.length)
-    val rows = srcIds.indices.map { i =>
-      VecOps.topK(Array.tabulate(tgtIds.length)(j => VecOps.manhattanSim(hs(i), ht(j))), k)
-    }
-    SimMatrix.Block(srcIds.flatMap(Array.fill(k)(_)),
-      rows.flatMap(_.map(c => tgtIds(c._1))).toArray, rows.flatMap(_.map(_._2)).toArray)
+    // tgtIds ascends, so l1TopK's lower-index tiebreak is a lower-target one
+    val flatT = VecOps.flatten(ht)
+    val rows = hs.map(VecOps.l1TopK(_, flatT, topK))
+    SimMatrix.Block(srcIds.zip(rows).flatMap { case (s, (t, _)) => Array.fill(t.length)(s) },
+      rows.flatMap(_._1.map(tgtIds)), rows.flatMap(_._2))
   }
 }

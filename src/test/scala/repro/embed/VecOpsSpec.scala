@@ -78,24 +78,75 @@ class VecOpsSpec extends AnyFunSuite with PropHelper {
     assert(math.abs(varr - 1.0) < 0.2, s"var=$varr")
   }
 
+  /** Offers `scores` to a TopK(k), index by index in the order `order`. */
+  private def topK(scores: Array[Double], k: Int, order: Seq[Int]): Seq[(Int, Double)] = {
+    val top = new TopK(k)
+    order.foreach(i => top.offer(scores(i), i))
+    val (idx, sc) = top.result()
+    idx.toSeq.zip(sc.toSeq)
+  }
+
+  private def bits(cells: Seq[(Int, Double)]): Seq[(Int, Long)] =
+    cells.map { case (i, v) => (i, java.lang.Double.doubleToRawLongBits(v)) }
+
   test("topK returns k best sorted desc with deterministic ties") {
     val s = Array(0.1, 0.9, 0.5, 0.9, 0.2)
-    val top = VecOps.topK(s, 3)
-    assert(top.map(_._1).toSeq == Seq(1, 3, 2)) // tie 0.9: lower index first
-    assert(top.map(_._2).toSeq == Seq(0.9, 0.9, 0.5))
+    val top = topK(s, 3, s.indices)
+    assert(top.map(_._1) == Seq(1, 3, 2)) // tie 0.9: lower index first
+    assert(top.map(_._2) == Seq(0.9, 0.9, 0.5))
+    assert(topK(s, 3, s.indices.reverse) == top) // whatever the offer order
+    // a tie with the kept worst offer: the lower index wins, offered first or last
+    val u = Array(0.5, 0.9, 0.5, 0.9, 0.5)
+    assert(topK(u, 3, u.indices).map(_._1) == Seq(1, 3, 0))
+    assert(topK(u, 3, u.indices.reverse).map(_._1) == Seq(1, 3, 0))
   }
 
   test("topK with k >= n returns all, sorted") {
-    val top = VecOps.topK(Array(0.3, 0.1, 0.7), 10)
-    assert(top.map(_._1).toSeq == Seq(2, 0, 1))
+    assert(topK(Array(0.3, 0.1, 0.7), 10, 0 to 2).map(_._1) == Seq(2, 0, 1))
   }
 
   test("property: topK(k) equals sort-take-k") {
-    checkProp(Prop.forAll(Gen.listOf(Gen.choose(0.0, 1.0)), Gen.choose(1, 10)) { (xs, k) =>
+    val genScores = Gen.listOf(Gen.oneOf(Gen.choose(0.0, 1.0), Gen.oneOf(0.25, 0.5))) // forced ties
+    checkProp(Prop.forAll(genScores, Gen.choose(0, 10), Gen.long) { (xs, k, seed) =>
       val arr = xs.toArray
       val expect = arr.zipWithIndex.map { case (v, i) => (i, v) }
         .sortBy { case (i, v) => (-v, i) }.take(k).toSeq
-      VecOps.topK(arr, k).toSeq == expect
-    })
+      topK(arr, k, new scala.util.Random(seed).shuffle(arr.indices.toVector)) == expect
+    }, minSuccessful = 200)
+  }
+
+  test("topK keeps nothing at k = 0 and rejects k < 0") {
+    assert(topK(Array(0.5, 0.2), 0, 0 to 1).isEmpty)
+    assert(VecOps.l1TopK(Array(1f), Array(1f, 2f), 0)._1.isEmpty)
+    intercept[IllegalArgumentException](new TopK(-1))
+    intercept[IllegalArgumentException](VecOps.l1TopK(Array(1f), Array(1f, 2f), -1))
+  }
+
+  /** A row and n targets drawn from a pool of `pool` vectors, so equal
+    * targets (and so tied scores) are common.
+    */
+  private val genTargets: Gen[(Array[Float], Array[Array[Float]])] = for {
+    dim  <- Gen.choose(1, 9)
+    pool <- Gen.choose(1, 6)
+    n    <- Gen.choose(0, 23)
+    vecs <- Gen.listOfN(pool + 1, Gen.listOfN(dim, Gen.choose(-2f, 2f)).map(_.toArray))
+    pick <- Gen.listOfN(n, Gen.choose(1, pool))
+  } yield (vecs.head, pick.map(vecs(_)).toArray)
+
+  test("property: l1Sims scores have manhattanSim's bits") {
+    checkProp(Prop.forAll(genTargets) { case (row, tv) =>
+      val out = new Array[Double](tv.length)
+      VecOps.l1Sims(row, VecOps.flatten(tv), out)
+      out.toSeq.map(java.lang.Double.doubleToRawLongBits) ==
+        tv.toSeq.map(t => java.lang.Double.doubleToRawLongBits(VecOps.manhattanSim(row, t)))
+    }, minSuccessful = 200)
+  }
+
+  test("property: l1TopK equals the boxed-heap SENS row loop (indices and score bits)") {
+    // n is often not a multiple of 4 and often <= k
+    checkProp(Prop.forAll(genTargets, Gen.choose(1, 30), Gen.choose(1, 5)) { case ((row, tv), k, segments) =>
+      val (idx, sc) = VecOps.l1TopK(row, VecOps.flatten(tv), k)
+      bits(idx.toSeq.zip(sc.toSeq)) == bits(repro.ReferenceKernels.sensRow(row, tv, k, segments).toSeq)
+    }, minSuccessful = 300)
   }
 }

@@ -4,7 +4,7 @@ import repro.{Oracle, SparkSpec}
 import repro.embed.{PseudoBert, VecOps}
 import org.apache.spark.sql.functions._
 
-/** Unit tests for the segment-wise semantic top-k (Faiss substitute). */
+/** Unit tests for the exact semantic top-k (Faiss substitute). */
 class SensSpec extends SparkSpec {
 
   private def vecs(n: Int, dim: Int, salt: Long): Array[Array[Float]] =
@@ -64,11 +64,11 @@ class SensSpec extends SparkSpec {
       "sim" -> m.df)
   }
 
-  test("segmentBounds covers [0,n) without overlap") {
-    val b = Sens.segmentBounds(10, 3)
-    assert(b.head._1 == 0 && b.last._2 == 10)
-    b.sliding(2).foreach { case Array((_, h), (l, _)) => assert(h == l); case _ => }
-    assert(Sens.segmentBounds(2, 5).map(x => x._2 - x._1).sum == 2)
+  test("k = 0 keeps no cell and k < 0 is rejected") {
+    val v = vecs(6, 8, 11)
+    val m = Sens.similarity(spark, v, v, 0)
+    assert(m.nnz == 0 && m.numRows == 6 && m.numCols == 6)
+    intercept[IllegalArgumentException](Sens.similarity(spark, v, v, -1))
   }
 
   test("aligned names rank high through pseudo-BERT + SENS") {

@@ -1,12 +1,13 @@
 package repro.structure
 
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{PropHelper, ReferenceKernels, SparkSpec}
 import repro.exp.Datasets
 import repro.kg.KGGen
 import repro.partition.{MetisCps, MiniBatches, Vps}
 
 /** Unit tests for the mini-batch structure channel. */
-class StructChannelSpec extends SparkSpec {
+class StructChannelSpec extends SparkSpec with PropHelper {
 
   private lazy val ds = KGGen.generate(spark, Datasets.tiny())
 
@@ -88,5 +89,31 @@ class StructChannelSpec extends SparkSpec {
     val ms = StructChannel.computeMs(spark, ds, batches, ds.trainPairs, GnnEA.Gcn, 3)
     val vals = ms.df.select("score").collect().map(_.getDouble(0))
     assert(vals.forall(v => v > 0 && v <= 1.0 + 1e-9))
+  }
+
+  test("topK = 0 keeps no cell and topK < 0 is rejected") {
+    val batches = Vps.partition(ds, 2, ds.trainPairs, seed = 7)
+    assert(StructChannel.computeMs(spark, ds, batches, ds.trainPairs, GnnEA.Gcn, topK = 0).nnz == 0)
+    intercept[IllegalArgumentException](
+      StructChannel.computeMs(spark, ds, batches, ds.trainPairs, GnnEA.Gcn, topK = -1))
+  }
+
+  test("property: single-pass mutualNN equals the two-pass reference") {
+    // vectors drawn from a small pool, so rows and columns often tie
+    val gen = for {
+      dim   <- Gen.choose(1, 6)
+      pool  <- Gen.listOfN(5, Gen.listOfN(dim, Gen.choose(-1f, 1f)).map(_.toArray))
+      nS    <- Gen.choose(0, 14)
+      nT    <- Gen.choose(0, 14)
+      hs    <- Gen.listOfN(nS, Gen.oneOf(pool))
+      ht    <- Gen.listOfN(nT, Gen.oneOf(pool))
+      skipS <- Gen.listOfN(nS, Gen.prob(0.3))
+      skipT <- Gen.listOfN(nT, Gen.prob(0.3))
+    } yield (hs.toArray, ht.toArray, skipS.toArray, skipT.toArray)
+    checkProp(Prop.forAll(gen) { case (hs, ht, skipS, skipT) =>
+      def set(mask: Array[Boolean]) = mask.indices.filter(mask).toSet
+      StructChannel.mutualNN(hs, ht, skipS, skipT).toSeq ==
+        ReferenceKernels.mutualNN(hs, ht, set(skipS), set(skipT)).toSeq
+    }, minSuccessful = 300)
   }
 }
