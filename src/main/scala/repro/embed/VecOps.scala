@@ -103,20 +103,20 @@ object VecOps {
     out
   }
 
-  /** `out(t) = manhattanSim(row, target t)` for every target of the flat
-    * row-major matrix `targets` (row length `row.length`). Four targets are
-    * summed per pass over `row`, each in its own double accumulator in
-    * `manhattan`'s order of additions, so every score has `manhattanSim`'s
-    * bits. Rows must not be empty.
+  /** `out(j) = manhattanSim(row, target from + j)` for `j < out.length`,
+    * where target t is row t of the flat row-major matrix `targets` (row
+    * length `row.length`, which must not be 0). Four targets are summed per
+    * pass over `row`, each in its own double accumulator in `manhattan`'s
+    * order of additions, so every score has `manhattanSim`'s bits.
     */
-  def l1Sims(row: Array[Float], targets: Array[Float], out: Array[Double]): Unit = {
+  def l1Sims(row: Array[Float], targets: Array[Float], from: Int, out: Array[Double]): Unit = {
     val dim = row.length
-    require(dim > 0 && targets.length == out.length * dim,
-      s"${targets.length} target floats do not hold ${out.length} rows of length $dim")
+    require(dim > 0 && from >= 0 && (from.toLong + out.length) * dim <= targets.length,
+      s"targets $from until ${from + out.length} are not rows of length $dim in ${targets.length} floats")
     val n = out.length
-    var t = 0
-    while (t + 4 <= n) {
-      val o0 = t * dim; val o1 = o0 + dim; val o2 = o1 + dim; val o3 = o2 + dim
+    var j = 0
+    while (j + 4 <= n) {
+      val o0 = (from + j) * dim; val o1 = o0 + dim; val o2 = o1 + dim; val o3 = o2 + dim
       var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
       var d = 0
       while (d < dim) {
@@ -127,17 +127,17 @@ object VecOps {
         s3 += math.abs(x - targets(o3 + d))
         d += 1
       }
-      out(t) = 1.0 / (1.0 + s0); out(t + 1) = 1.0 / (1.0 + s1)
-      out(t + 2) = 1.0 / (1.0 + s2); out(t + 3) = 1.0 / (1.0 + s3)
-      t += 4
+      out(j) = 1.0 / (1.0 + s0); out(j + 1) = 1.0 / (1.0 + s1)
+      out(j + 2) = 1.0 / (1.0 + s2); out(j + 3) = 1.0 / (1.0 + s3)
+      j += 4
     }
-    while (t < n) {
-      val o = t * dim
+    while (j < n) {
+      val o = (from + j) * dim
       var s = 0.0
       var d = 0
       while (d < dim) { s += math.abs(row(d) - targets(o + d)); d += 1 }
-      out(t) = 1.0 / (1.0 + s)
-      t += 1
+      out(j) = 1.0 / (1.0 + s)
+      j += 1
     }
   }
 
@@ -147,10 +147,19 @@ object VecOps {
     */
   def l1TopK(row: Array[Float], targets: Array[Float], k: Int): (Array[Int], Array[Double]) = {
     val top = new TopK(k)
-    val sims = new Array[Double](if (row.isEmpty) 0 else targets.length / row.length)
-    l1Sims(row, targets, sims)
-    var t = 0
-    while (t < sims.length) { top.offer(sims(t), t); t += 1 }
+    require(row.nonEmpty && targets.length % row.length == 0,
+      s"${targets.length} target floats are not rows of length ${row.length}")
+    val n = targets.length / row.length
+    // scored in chunks, so a row allocates 2 KB, not 8 bytes per target
+    val chunk = new Array[Double](math.min(n, 256))
+    var from = 0
+    while (from < n) {
+      val sims = if (n - from >= chunk.length) chunk else new Array[Double](n - from)
+      l1Sims(row, targets, from, sims)
+      var j = 0
+      while (j < sims.length) { top.offer(sims(j), from + j); j += 1 }
+      from += sims.length
+    }
     top.result()
   }
 }

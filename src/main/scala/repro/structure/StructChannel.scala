@@ -76,7 +76,7 @@ object StructChannel {
     val bestS = Array.fill(freeT.length)(-1)   // column argmax over free sources
     val bestSSim = Array.fill(freeT.length)(-1.0)
     for (i <- hs.indices if !skipS(i)) {
-      VecOps.l1Sims(hs(i), flatT, sims)
+      VecOps.l1Sims(hs(i), flatT, 0, sims)
       var best = -1; var bestSim = -1.0
       var c = 0
       while (c < sims.length) {

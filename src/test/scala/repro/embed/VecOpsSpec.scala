@@ -115,36 +115,39 @@ class VecOpsSpec extends AnyFunSuite with PropHelper {
     }, minSuccessful = 200)
   }
 
-  test("topK keeps nothing at k = 0 and rejects k < 0") {
+  test("topK and l1TopK keep nothing at k = 0 and reject k < 0 or ragged targets") {
     assert(topK(Array(0.5, 0.2), 0, 0 to 1).isEmpty)
     assert(VecOps.l1TopK(Array(1f), Array(1f, 2f), 0)._1.isEmpty)
     intercept[IllegalArgumentException](new TopK(-1))
     intercept[IllegalArgumentException](VecOps.l1TopK(Array(1f), Array(1f, 2f), -1))
+    intercept[IllegalArgumentException](VecOps.l1TopK(Array(1f, 2f), Array(1f, 2f, 3f), 1))
   }
 
   /** A row and n targets drawn from a pool of `pool` vectors, so equal
-    * targets (and so tied scores) are common.
+    * targets (and so tied scores) are common. Some n exceed l1TopK's
+    * 256-target chunk.
     */
   private val genTargets: Gen[(Array[Float], Array[Array[Float]])] = for {
     dim  <- Gen.choose(1, 9)
     pool <- Gen.choose(1, 6)
-    n    <- Gen.choose(0, 23)
+    n    <- Gen.frequency(3 -> Gen.choose(0, 23), 1 -> Gen.choose(250, 600))
     vecs <- Gen.listOfN(pool + 1, Gen.listOfN(dim, Gen.choose(-2f, 2f)).map(_.toArray))
     pick <- Gen.listOfN(n, Gen.choose(1, pool))
   } yield (vecs.head, pick.map(vecs(_)).toArray)
 
   test("property: l1Sims scores have manhattanSim's bits") {
-    checkProp(Prop.forAll(genTargets) { case (row, tv) =>
-      val out = new Array[Double](tv.length)
-      VecOps.l1Sims(row, VecOps.flatten(tv), out)
+    checkProp(Prop.forAll(genTargets, Gen.choose(0, 600)) { case ((row, tv), f) =>
+      val from = f % (tv.length + 1)
+      val out = new Array[Double](tv.length - from)
+      VecOps.l1Sims(row, VecOps.flatten(tv), from, out)
       out.toSeq.map(java.lang.Double.doubleToRawLongBits) ==
-        tv.toSeq.map(t => java.lang.Double.doubleToRawLongBits(VecOps.manhattanSim(row, t)))
+        tv.toSeq.drop(from).map(t => java.lang.Double.doubleToRawLongBits(VecOps.manhattanSim(row, t)))
     }, minSuccessful = 200)
   }
 
   test("property: l1TopK equals the boxed-heap SENS row loop (indices and score bits)") {
     // n is often not a multiple of 4 and often <= k
-    checkProp(Prop.forAll(genTargets, Gen.choose(1, 30), Gen.choose(1, 5)) { case ((row, tv), k, segments) =>
+    checkProp(Prop.forAll(genTargets, Gen.oneOf(Gen.choose(1, 30), Gen.choose(500, 700)), Gen.choose(1, 5)) { case ((row, tv), k, segments) =>
       val (idx, sc) = VecOps.l1TopK(row, VecOps.flatten(tv), k)
       bits(idx.toSeq.zip(sc.toSeq)) == bits(repro.ReferenceKernels.sensRow(row, tv, k, segments).toSeq)
     }, minSuccessful = 300)
