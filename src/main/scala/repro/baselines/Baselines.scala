@@ -41,7 +41,7 @@ object Baselines {
     */
   def gcnAlign(spark: SparkSession, ds: EaDataset, topK: Int = 50): RunResult = {
     val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Gcn, topK))
-    RunResult(Metrics.evaluate(sim, ds.test), sec)
+    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
   /** RREA (Mao et al. 2020): relational-reflection GNN over the full graph,
@@ -49,7 +49,7 @@ object Baselines {
     */
   def rrea(spark: SparkSession, ds: EaDataset, topK: Int = 50): RunResult = {
     val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Rrea, topK))
-    RunResult(Metrics.evaluate(sim, ds.test), sec)
+    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
   /** MultiKE (Zhang et al. 2019): multi-view model — a name view and a
@@ -62,7 +62,7 @@ object Baselines {
                                 bert.embedAll(ds.target.namesArray), topK)
       fullGraphStructure(spark, ds, GnnEA.Gcn, topK).plus(mse)
     }
-    RunResult(Metrics.evaluate(sim, ds.test), sec)
+    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
   /** RDGCN (Wu et al. 2019): entity embeddings *initialized from names*,
@@ -78,7 +78,7 @@ object Baselines {
       val tgtH = propagateNameInit(ds, bert, isSource = false, layers, selfWeight)
       Sens.similarity(spark, srcH, tgtH, topK)
     }
-    RunResult(Metrics.evaluate(sim, ds.test), sec)
+    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
   /** name-initialized propagation used by RDGCN-lite. */
@@ -87,10 +87,8 @@ object Baselines {
       layers: Int, selfWeight: Float): Array[Array[Float]] = {
     val kg = if (isSource) ds.source else ds.target
     val n = kg.numEntities.toInt
-    val names = kg.namesArray
-    val triples = kg.triples.collect().map(r =>
-      (r.getLong(0).toInt, r.getInt(1), r.getLong(2).toInt))
-    var h = names.map(bert.embed)
+    val triples = kg.triplesArray
+    var h = kg.namesArray.map(bert.embed)
     val deg = new Array[Int](n)
     triples.foreach { case (a, _, b) => if (a != b) { deg(a) += 1; deg(b) += 1 } }
     var l = 0
@@ -144,7 +142,7 @@ object Baselines {
       }.collect()
       SimMatrix.fromLocal(spark, rescored, coarse.numRows, coarse.numCols)
     }
-    RunResult(Metrics.evaluate(sim, ds.test), sec)
+    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
   /** Symmetric token-interaction score: for each token on one side, the

@@ -47,12 +47,6 @@ object VecOps {
     v
   }
 
-  /** a += b (in place). */
-  def addInPlace(a: Array[Float], b: Array[Float]): Unit = {
-    var i = 0
-    while (i < a.length) { a(i) += b(i); i += 1 }
-  }
-
   /** a += s·b (in place). */
   def axpy(a: Array[Float], s: Float, b: Array[Float]): Unit = {
     var i = 0

@@ -110,12 +110,6 @@ object Datasets {
   private val cache = scala.collection.mutable.LinkedHashMap.empty[String, EaDataset]
 
   def get(spark: SparkSession, spec: Spec): EaDataset = synchronized {
-    cache.getOrElseUpdate(spec.key, {
-      val ds = KGGen.generate(spark, spec.cfg)
-      ds.source.entities.cache(); ds.source.triples.cache()
-      ds.target.entities.cache(); ds.target.triples.cache()
-      ds.truth.cache(); ds.train.cache(); ds.test.cache()
-      ds
-    })
+    cache.getOrElseUpdate(spec.key, KGGen.generate(spark, spec.cfg))
   }
 }

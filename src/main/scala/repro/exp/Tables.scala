@@ -117,21 +117,24 @@ object Tables {
   def table2(spark: SparkSession): Seq[EaRow] =
     Datasets.idsSpecs.flatMap(spec => table2ForSpec(spark, spec))
 
+  /** The paper's five competitors: name, modeled memory at a scale, runner. */
+  private val competitors
+      : Seq[(String, MemModel.Scale => MemModel.Footprint, (SparkSession, EaDataset) => Baselines.RunResult)] = Seq(
+    ("GCNAlign", MemModel.gcnAlign, Baselines.gcnAlign(_, _)),
+    ("MultiKE",  MemModel.multiKe,  Baselines.multiKe(_, _)),
+    ("RDGCN",    MemModel.rdgcn,    Baselines.rdgcn(_, _)),
+    ("RREA",     MemModel.rrea,     Baselines.rrea(_, _)),
+    ("BERT-INT", MemModel.bertInt,  Baselines.bertInt(_, _)))
+
   def table2ForSpec(spark: SparkSession, spec: Datasets.Spec): Seq[EaRow] = {
     val ds = Datasets.get(spark, spec)
     val scale = spec.represented
 
-    val competitors: Seq[(String, MemModel.Footprint, () => Baselines.RunResult)] = Seq(
-      ("GCNAlign", MemModel.gcnAlign(scale), () => Baselines.gcnAlign(spark, ds)),
-      ("MultiKE",  MemModel.multiKe(scale),  () => Baselines.multiKe(spark, ds)),
-      ("RDGCN",    MemModel.rdgcn(scale),    () => Baselines.rdgcn(spark, ds)),
-      ("RREA",     MemModel.rrea(scale),     () => Baselines.rrea(spark, ds)),
-      ("BERT-INT", MemModel.bertInt(scale),  () => Baselines.bertInt(spark, ds)))
-
-    val compRows = competitors.map { case (name, fp, runIt) =>
+    val compRows = competitors.map { case (name, footprint, runIt) =>
+      val fp = footprint(scale)
       if (fp.oom) oomRow(spec.key, name)
       else {
-        val r = runIt()
+        val r = runIt(spark, ds)
         eaRow(spec.key, name, r.scores, r.seconds, fp.prettyGpu)
       }
     }
@@ -169,14 +172,8 @@ object Tables {
     }
     // competitors: all OOM at DBP1M scale — rows of dashes, as in the paper
     val competitorOom = Datasets.dbpSpecs.flatMap { spec =>
-      Seq("GCNAlign", "MultiKE", "RDGCN", "RREA", "BERT-INT").map { m =>
-        val fp = m match {
-          case "GCNAlign" => MemModel.gcnAlign(spec.represented)
-          case "MultiKE"  => MemModel.multiKe(spec.represented)
-          case "RDGCN"    => MemModel.rdgcn(spec.represented)
-          case "RREA"     => MemModel.rrea(spec.represented)
-          case _          => MemModel.bertInt(spec.represented)
-        }
+      competitors.map { case (m, footprint, _) =>
+        val fp = footprint(spec.represented)
         if (fp.oom) oomRow(spec.key, m)
         else eaRow(spec.key, m, EaScores(0, 0, 0, 0), 0, fp.prettyGpu)
       }

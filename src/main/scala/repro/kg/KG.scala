@@ -3,47 +3,54 @@ package repro.kg
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** A knowledge graph G = (E, R, T) held as Spark DataFrames.
-  *
-  * Schemas:
-  *  - `entities`: (id: Long, name: String) — every entity has a name
-  *    (the paper's name channel assumes this).
-  *  - `triples` : (h: Long, r: Int, t: Long) — directed edges h --r--> t.
-  *
-  * Entity ids are dense 0..n-1 within one KG, which lets algorithm code
-  * collect per-KG arrays without an id-compaction pass.
+/** A knowledge graph G = (E, R, T) held in driver arrays: `namesArray(e)`
+  * is the name of entity e (so ids are dense 0..n-1) and `triplesArray`
+  * holds the directed edges h --r--> t as (h, r, t). Construction throws
+  * IllegalArgumentException on a `null` name (the paper's name channel
+  * assumes every entity has one) or on a triple endpoint outside [0, n).
+  * `entities` (id: Long, name: String) and `triples` (h: Long, r: Int,
+  * t: Long) are DataFrame views of the arrays, for the DuckDB oracle tests
+  * and the benchmark harness.
   */
-final case class KG(lang: String, entities: DataFrame, triples: DataFrame) {
+final class KG private (
+    val spark: SparkSession,
+    val lang: String,
+    val namesArray: Array[String],
+    val triplesArray: Array[(Int, Int, Int)]) {
 
-  /** Number of entities |E|. */
-  lazy val numEntities: Long = entities.count()
-
-  /** Number of distinct relations |R|. */
-  lazy val numRelations: Long = triples.select("r").distinct().count()
-
-  /** Number of triples |T|. */
-  lazy val numTriples: Long = triples.count()
-
-  /** Entity names as a driver-side array indexed by entity id. */
-  def namesArray: Array[String] = {
-    val n = numEntities.toInt
-    val out = new Array[String](n)
-    entities.select("id", "name").collect().foreach { r =>
-      out(r.getLong(0).toInt) = r.getString(1)
-    }
-    out
+  private val n = namesArray.length
+  require(!namesArray.contains(null), s"entity ${namesArray.indexOf(null)} of KG $lang has no name")
+  triplesArray.foreach { case (h, r, t) =>
+    require(h >= 0 && h < n && t >= 0 && t < n, s"triple ($h, $r, $t) of KG $lang has an endpoint outside [0, $n)")
   }
 
-  /** Undirected weighted edge list (u, v, w=1.0) with u < v, parallel edges
-    * collapsed. This is the input shape for the METIS substitute.
+  /** Number of entities |E|. */
+  def numEntities: Long = n
+
+  /** Number of distinct relations |R|. */
+  lazy val numRelations: Long = triplesArray.iterator.map(_._2).distinct.size
+
+  /** Number of triples |T|. */
+  def numTriples: Long = triplesArray.length
+
+  lazy val entities: DataFrame =
+    spark.createDataFrame(namesArray.toSeq.zipWithIndex.map { case (nm, i) => (i.toLong, nm) }).toDF("id", "name")
+
+  lazy val triples: DataFrame =
+    spark.createDataFrame(triplesArray.toSeq.map { case (h, r, t) => (h.toLong, r, t.toLong) }).toDF("h", "r", "t")
+
+  /** Undirected edges (u, v) with u < v, parallel edges collapsed and
+    * self-loops dropped: the METIS input. They are deduplicated by a Spark
+    * `distinct` over `triples`, whose output order depends on the shuffle
+    * partitions, and that order fixes every METIS-CPS partition.
     */
-  def undirectedEdges: DataFrame = {
-    val t = triples
+  def undirectedEdges: Array[(Int, Int)] =
+    triples
       .select(least(col("h"), col("t")).as("u"), greatest(col("h"), col("t")).as("v"))
       .where(col("u") =!= col("v"))
       .distinct()
-    t.withColumn("w", lit(1.0))
-  }
+      .collect()
+      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
 }
 
 object KG {
@@ -53,51 +60,68 @@ object KG {
       spark: SparkSession,
       lang: String,
       names: Array[String],
-      triples: Array[(Long, Int, Long)]): KG = {
-    import spark.implicits._
-    val ents = names.zipWithIndex.map { case (nm, i) => (i.toLong, nm) }.toSeq
-      .toDF("id", "name")
-    val trip = triples.toSeq.toDF("h", "r", "t")
-    KG(lang, ents, trip)
-  }
+      triples: Array[(Int, Int, Int)]): KG =
+    new KG(spark, lang, names, triples)
 }
 
 /** A cross-lingual EA dataset: source KG, target KG, ground-truth 1-to-1
   * alignment, and a train/test split of it (seed ratio per the paper: 20 %).
   *
-  *  - `truth`: (src: Long, tgt: Long) — full EA ground truth ψ.
-  *  - `train`: seed alignment ψ′ ⊂ ψ given to the model.
-  *  - `test` : ψ \ ψ′, used only for evaluation.
+  *  - `truthPairs`: (src, tgt) — full EA ground truth ψ.
+  *  - `trainPairs`: seed alignment ψ′ ⊂ ψ given to the model.
+  *  - `testPairs` : ψ \ ψ′, used only for evaluation.
+  *
+  * The pairs are sorted, so downstream algorithms (seed round-robin, CPS hub
+  * picks, anchor ids) see one order; `truth`, `train` and `test` are
+  * DataFrame views (src: Long, tgt: Long) of them. Construction throws
+  * IllegalArgumentException unless the truth is 1-to-1, train ∩ test = ∅,
+  * train ∪ test = truth and every id is an entity of its KG.
   *
   * `lexicon` maps every foreign-language token surface to its canonical
   * (English) token surface. It stands in for the *pretrained* cross-lingual
   * knowledge of multilingual BERT (token-level, not entity-level — see
   * DESIGN.md §2); it is consumed by `repro.embed.PseudoBert`.
   */
-final case class EaDataset(
-    name: String,
-    source: KG,
-    target: KG,
-    truth: DataFrame,
-    train: DataFrame,
-    test: DataFrame,
-    lexicon: Map[String, String]) {
+final class EaDataset private (
+    val name: String,
+    val source: KG,
+    val target: KG,
+    val truthPairs: Array[(Long, Long)],
+    val trainPairs: Array[(Long, Long)],
+    val testPairs: Array[(Long, Long)],
+    val lexicon: Map[String, String]) {
+
+  (truthPairs.iterator ++ trainPairs ++ testPairs).foreach { case (s, t) =>
+    require(s >= 0 && s < source.numEntities && t >= 0 && t < target.numEntities,
+      s"pair ($s, $t) is outside the ${source.numEntities} x ${target.numEntities} entities")
+  }
+  require(truthPairs.map(_._1).distinct.length == truthPairs.length &&
+    truthPairs.map(_._2).distinct.length == truthPairs.length, "the ground truth is not 1-to-1")
+  private val trainSet = trainPairs.toSet
+  require(!testPairs.exists(trainSet), "train and test share a pair")
+  require(trainSet ++ testPairs == truthPairs.toSet, "train ∪ test is not the ground truth")
+
+  lazy val truth: DataFrame = view(truthPairs)
+  lazy val train: DataFrame = view(trainPairs)
+  lazy val test: DataFrame = view(testPairs)
+  private def view(pairs: Array[(Long, Long)]) = source.spark.createDataFrame(pairs.toSeq).toDF("src", "tgt")
 
   /** Swap source and target (the paper's EN→L vs L→EN directions). */
-  def reversed: EaDataset = {
-    def flip(df: DataFrame): DataFrame =
-      df.select(col("tgt").as("src"), col("src").as("tgt"))
-    EaDataset(s"$name-rev", target, source, flip(truth), flip(train), flip(test), lexicon)
-  }
+  def reversed: EaDataset = EaDataset.fromLocal(s"$name-rev", target, source,
+    truthPairs.map(_.swap), trainPairs.map(_.swap), testPairs.map(_.swap), lexicon)
+}
 
-  /** Truth pairs as a driver-side array. */
-  def truthPairs: Array[(Long, Long)] = collectPairs(truth)
-  def trainPairs: Array[(Long, Long)] = collectPairs(train)
-  def testPairs: Array[(Long, Long)]  = collectPairs(test)
+object EaDataset {
 
-  // Sorted so downstream algorithms (seed round-robin, CPS hub picks,
-  // anchor ids) see a run-to-run deterministic order — DataFrame collect
-  // order is not guaranteed across shuffles.
-  private def collectPairs(df: DataFrame): Array[(Long, Long)] =
-    df.select("src", "tgt").collect().map(r => (r.getLong(0), r.getLong(1))).sorted
+  /** Build a dataset from pairs in any order. */
+  def fromLocal(
+      name: String,
+      source: KG,
+      target: KG,
+      truth: Iterable[(Long, Long)],
+      train: Iterable[(Long, Long)],
+      test: Iterable[(Long, Long)],
+      lexicon: Map[String, String]): EaDataset =
+    new EaDataset(name, source, target,
+      truth.toArray.sorted, train.toArray.sorted, test.toArray.sorted, lexicon)
 }

@@ -123,8 +123,8 @@ object KGGen {
       val x = h.nextDouble()
       math.min(996, (x * x * 997).toInt)
     }
-    def toTriples(edges: Seq[(Int, Int)], nRel: Int): Array[(Long, Int, Long)] =
-      edges.distinct.map { case (u, v) => (u.toLong, baseRel(u, v) % nRel, v.toLong) }.toArray
+    def toTriples(edges: Seq[(Int, Int)], nRel: Int): Array[(Int, Int, Int)] =
+      edges.distinct.map { case (u, v) => (u, baseRel(u, v) % nRel, v) }.toArray
 
     val srcTriples = toTriples(srcCoreEdges.toSeq, cfg.nRelSrc)
     val tgtTriples = toTriples(tgtCoreEdges.toSeq, cfg.nRelTgt)
@@ -177,24 +177,18 @@ object KGGen {
     val perm = new Random(cfg.seed + 5).shuffle((0 until nTgt).toVector).toArray
     val tgtNamesShuffled = new Array[String](nTgt)
     for (i <- 0 until nTgt) tgtNamesShuffled(perm(i)) = tgtNames(i)
-    val tgtTriplesShuffled = tgtTriples.map { case (h, r, t) =>
-      (perm(h.toInt).toLong, r, perm(t.toInt).toLong)
-    }
+    val tgtTriplesShuffled = tgtTriples.map { case (h, r, t) => (perm(h), r, perm(t)) }
 
     // ---- assemble ----------------------------------------------------------
     val srcKG = KG.fromLocal(spark, "en", srcNames, srcTriples)
     val tgtKG = KG.fromLocal(spark, cfg.langTgt, tgtNamesShuffled, tgtTriplesShuffled)
 
-    import spark.implicits._
     val truthPairs = (0 until nCore).map(i => (i.toLong, perm(i).toLong))
-    val truthDf = truthPairs.toDF("src", "tgt")
     val splitRnd = new Random(cfg.seed + 6)
     val shuffled = splitRnd.shuffle(truthPairs.toVector)
     val nTrain = (nCore * cfg.seedRatio).toInt
-    val trainDf = shuffled.take(nTrain).toDF("src", "tgt")
-    val testDf  = shuffled.drop(nTrain).toDF("src", "tgt")
 
-    EaDataset(cfg.name, srcKG, tgtKG, truthDf, trainDf, testDf, lexicon)
+    EaDataset.fromLocal(cfg.name, srcKG, tgtKG, truthPairs, shuffled.take(nTrain), shuffled.drop(nTrain), lexicon)
   }
 
   // ---------------------------------------------------------------------

@@ -1,6 +1,5 @@
 package repro.partition
 
-import org.apache.spark.sql.DataFrame
 import scala.collection.mutable
 import scala.util.Random
 
@@ -17,9 +16,9 @@ import scala.util.Random
   * zero-weight edges never contribute to the cut (so cutting them is
   * free) and w′≫1 edges are prohibitively expensive to cut.
   *
-  * The partitioner runs on the driver over an edge list aggregated by
-  * Spark (KGs at our lite scales have ≤ ~50 K collapsed edges); everything
-  * downstream of the partition stays in DataFrame land.
+  * The partitioner runs on the driver over a local edge list
+  * (`KG.undirectedEdges`; KGs at our lite scales have ≤ ~50 K collapsed
+  * edges) and returns a part id per vertex.
   */
 object Metis {
 
@@ -79,14 +78,6 @@ object Metis {
         i += 1
       }
       Graph(n, adjN, adjW, Array.fill(n)(1))
-    }
-
-    /** Build from a Spark edge DataFrame with columns (u, v, w). */
-    def fromEdgeDF(n: Int, edges: DataFrame): Graph = {
-      val local = edges.select("u", "v", "w").collect().map { r =>
-        (r.getLong(0).toInt, r.getLong(1).toInt, r.getDouble(2))
-      }
-      fromEdges(n, local)
     }
   }
 

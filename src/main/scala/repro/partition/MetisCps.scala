@@ -35,7 +35,7 @@ final class MetisCps(wPrime: Double = 1000.0, q: Int = 1, imbalance: Double = 1.
     val rnd = new Random(seed)
 
     // -- step 1: METIS on the source KG ------------------------------------
-    val gs = Metis.Graph.fromEdgeDF(nS, ds.source.undirectedEdges)
+    val gs = Metis.Graph.fromEdges(nS, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
     val srcPart = Metis.partition(gs, k, imbalance, seed)
 
     // -- step 2: L_t^i — seed groups on the target side --------------------
@@ -47,14 +47,11 @@ final class MetisCps(wPrime: Double = 1000.0, q: Int = 1, imbalance: Double = 1.
         .groupBy(_._1).map { case (g, arr) => g -> arr.map(_._2).distinct }
 
     // -- steps 3+4: re-weight the target graph ------------------------------
-    val tgtEdges = ds.target.undirectedEdges.select("u", "v").collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-
     def key(u: Int, v: Int): Long =
       math.min(u, v).toLong * nT + math.max(u, v)
 
     val weight = mutable.LongMap.empty[Double]
-    tgtEdges.foreach { case (u, v) =>
+    ds.target.undirectedEdges.foreach { case (u, v) =>
       val gu = groupOf(u); val gv = groupOf(v)
       val w =
         if (gu >= 0 && gu == gv) wPrime                  // phase 1: inside CG^i

@@ -41,14 +41,9 @@ object StructChannel {
 
     val nS = ds.source.numEntities.toInt
     val nT = ds.target.numEntities.toInt
-    val srcTriples = ds.source.triples.collect().map(r =>
-      (r.getLong(0).toInt, r.getInt(1), r.getLong(2).toInt))
-    val tgtTriples = ds.target.triples.collect().map(r =>
-      (r.getLong(0).toInt, r.getInt(1), r.getLong(2).toInt))
-
     val sc = spark.sparkContext
-    val bcSrcT = sc.broadcast(srcTriples)
-    val bcTgtT = sc.broadcast(tgtTriples)
+    val bcSrcT = sc.broadcast(ds.source.triplesArray)
+    val bcTgtT = sc.broadcast(ds.target.triplesArray)
     val bcSrcP = sc.broadcast(batches.srcPart)
     val bcTgtP = sc.broadcast(batches.tgtPart)
     val bcSeeds = sc.broadcast(seeds)

@@ -48,10 +48,8 @@ class VecOpsSpec extends AnyFunSuite with PropHelper {
     assert(v.forall(x => !x.isNaN && !x.isInfinite))
   }
 
-  test("addInPlace and axpy") {
-    val a = Array(1f, 2f)
-    VecOps.addInPlace(a, Array(3f, 4f))
-    assert(a.toSeq == Seq(4f, 6f))
+  test("axpy adds a scaled vector in place") {
+    val a = Array(4f, 6f)
     VecOps.axpy(a, 2f, Array(1f, 1f))
     assert(a.toSeq == Seq(6f, 8f))
   }

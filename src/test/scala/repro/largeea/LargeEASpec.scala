@@ -82,8 +82,9 @@ class LargeEASpec extends SparkSpec {
   }
 
   test("same scores, pseudo seeds and fused cells at 1, 8 and 64 shuffle partitions") {
-    // VPS: METIS-CPS reads `KG.undirectedEdges`, whose `distinct` hands
-    // METIS its edges in an order that depends on the shuffle partitions
+    // VPS: METIS-CPS reads `KG.undirectedEdges`, whose `distinct` (the one
+    // shuffle left before training) hands METIS its edges in an order that
+    // depends on the shuffle partitions
     val key = "spark.sql.shuffle.partitions"
     val before = spark.conf.get(key)
     val cfg = LargeEA.Config(model = GnnEA.Rrea, k = 3, strategy = Vps)

@@ -30,7 +30,7 @@ class MetisCpsSpec extends SparkSpec {
   }
 
   test("source-side edge cut is far below VPS's") {
-    val g = Metis.Graph.fromEdgeDF(300, ds.source.undirectedEdges)
+    val g = Metis.Graph.fromEdges(300, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
     val vps = Vps.partition(ds, 3, ds.trainPairs, seed = 7)
     val cpsCut = g.cutWeight(batches.srcPart)
     val vpsCut = g.cutWeight(vps.srcPart)
