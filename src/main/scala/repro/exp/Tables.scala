@@ -8,6 +8,7 @@ import repro.largeea.LargeEA
 import repro.memmodel.MemModel
 import repro.name.Nff
 import repro.partition.{MetisCps, PartitionStrategy, Vps}
+import repro.sim.SimMatrix
 import repro.structure.GnnEA
 
 /** Harnesses that regenerate each table of the paper's evaluation section.
@@ -75,11 +76,11 @@ object Tables {
     r.timings.filterNot { case (k, _) => k == "eval" }.values.sum
 
   // The name channel is identical for all LargeEA variants on a given
-  // (dataset, direction); cache it per JVM with its wall time so every
-  // variant is charged the same name-channel seconds, as the paper's
-  // per-variant totals are.
+  // (dataset, direction); cache its `Mn` per JVM with the wall time NFF
+  // took, so every variant is charged the same name-channel seconds, as
+  // the paper's per-variant totals are.
   private val nameCache =
-    scala.collection.mutable.Map.empty[String, (Nff.Result, Double)]
+    scala.collection.mutable.Map.empty[String, (SimMatrix, Double)]
 
   /** The four LargeEA variants (G/R × EN→L / L→EN) on one dataset,
     * sharing the per-direction name channel.
@@ -90,12 +91,12 @@ object Tables {
     val fwd = Datasets.get(spark, spec)
     val rev = fwd.reversed
 
-    def nameArtifacts(ds: EaDataset): (Nff.Result, Double) =
+    def nameArtifacts(ds: EaDataset): (SimMatrix, Double) =
       nameCache.synchronized {
         nameCache.getOrElseUpdate(ds.name, {
           val t0 = System.nanoTime()
-          val nr = Nff.compute(spark, ds)
-          (nr, (System.nanoTime() - t0) / 1e9)
+          val mn = Nff.compute(spark, ds).mn
+          (mn, (System.nanoTime() - t0) / 1e9)
         })
       }
     val nameFwd = nameArtifacts(fwd)
@@ -110,8 +111,15 @@ object Tables {
     }
   }
 
-  private def structureModelName(method: String): String =
-    if (method.contains("-R")) "RREA" else "GCN"
+  /** Table rows of LargeEA variants: pipeline seconds, and the memory
+    * modeled for the variant's structure model at the represented scale.
+    */
+  private def largeEaRows(spec: Datasets.Spec, variants: Seq[(String, LargeEA.Result)]): Seq[EaRow] =
+    variants.map { case (method, res) =>
+      val model = if (method.contains("-R")) "RREA" else "GCN"
+      val fp = MemModel.largeEa(model, spec.represented, spec.k)
+      eaRow(spec.key, method, res.scores, pipelineSeconds(res), fp.prettyGpu)
+    }
 
   /** Table 2: competitors + LargeEA variants on the four IDS datasets. */
   def table2(spark: SparkSession): Seq[EaRow] =
@@ -128,10 +136,8 @@ object Tables {
 
   def table2ForSpec(spark: SparkSession, spec: Datasets.Spec): Seq[EaRow] = {
     val ds = Datasets.get(spark, spec)
-    val scale = spec.represented
-
     val compRows = competitors.map { case (name, footprint, runIt) =>
-      val fp = footprint(scale)
+      val fp = footprint(spec.represented)
       if (fp.oom) oomRow(spec.key, name)
       else {
         val r = runIt(spark, ds)
@@ -139,11 +145,7 @@ object Tables {
       }
     }
 
-    val largeRows = largeEaVariants(spark, spec).map { case (method, res) =>
-      val fp = MemModel.largeEa(structureModelName(method), scale, spec.k)
-      eaRow(spec.key, method, res.scores, pipelineSeconds(res), fp.prettyGpu)
-    }
-    compRows ++ largeRows
+    compRows ++ largeEaRows(spec, largeEaVariants(spark, spec))
   }
 
   // Table 3 is consumed twice per bench run (its own bench + the
@@ -164,12 +166,7 @@ object Tables {
   }
 
   private def computeTable3(spark: SparkSession): (Seq[EaRow], Seq[EaRow]) = {
-    val largeRows = Datasets.dbpSpecs.flatMap { spec =>
-      largeEaVariants(spark, spec).map { case (method, res) =>
-        val fp = MemModel.largeEa(structureModelName(method), spec.represented, spec.k)
-        eaRow(spec.key, method, res.scores, pipelineSeconds(res), fp.prettyGpu)
-      }
-    }
+    val largeRows = Datasets.dbpSpecs.flatMap(spec => largeEaRows(spec, largeEaVariants(spark, spec)))
     // competitors: all OOM at DBP1M scale — rows of dashes, as in the paper
     val competitorOom = Datasets.dbpSpecs.flatMap { spec =>
       competitors.map { case (m, footprint, _) =>
@@ -192,10 +189,7 @@ object Tables {
       variants.headOption.foreach { case (_, res) =>
         stats :+= DaStat(spec.key, res.pseudoSeedCount, res.pseudoSeedPrecision)
       }
-      variants.map { case (method, res) =>
-        val fp = MemModel.largeEa(structureModelName(method), spec.represented, spec.k)
-        eaRow(spec.key, method, res.scores, pipelineSeconds(res), fp.prettyGpu)
-      }
+      largeEaRows(spec, variants)
     }
     (rows, stats)
   }
@@ -221,7 +215,7 @@ object Tables {
 
   def table5ForSpec(spark: SparkSession, spec: Datasets.Spec): Seq[Table5Row] = {
     val fwd = Datasets.get(spark, spec)
-    val strategies: Seq[PartitionStrategy] = Seq(MetisCps.default, Vps)
+    val strategies: Seq[PartitionStrategy] = Seq(MetisCps, Vps)
     for {
       strat <- strategies
       (ds, dir) <- Seq((fwd, "EN->L"), (fwd.reversed, "L->EN"))

@@ -1,7 +1,6 @@
 package repro.kg
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** A knowledge graph G = (E, R, T) held in driver arrays: `namesArray(e)`
   * is the name of entity e (so ids are dense 0..n-1) and `triplesArray`
@@ -40,17 +39,15 @@ final class KG private (
     spark.createDataFrame(triplesArray.toSeq.map { case (h, r, t) => (h.toLong, r, t.toLong) }).toDF("h", "r", "t")
 
   /** Undirected edges (u, v) with u < v, parallel edges collapsed and
-    * self-loops dropped: the METIS input. They are deduplicated by a Spark
-    * `distinct` over `triples`, whose output order depends on the shuffle
-    * partitions, and that order fixes every METIS-CPS partition.
+    * self-loops dropped, in ascending (u, v) order: the METIS input. A
+    * local pass over `triplesArray`, so the order does not depend on how
+    * the triples were stored or on any Spark setting.
     */
   def undirectedEdges: Array[(Int, Int)] =
-    triples
-      .select(least(col("h"), col("t")).as("u"), greatest(col("h"), col("t")).as("v"))
-      .where(col("u") =!= col("v"))
-      .distinct()
-      .collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+    triplesArray
+      .collect { case (h, _, t) if h != t => math.min(h, t).toLong << 32 | math.max(h, t) }
+      .distinct.sorted
+      .map(e => ((e >>> 32).toInt, e.toInt))
 }
 
 object KG {

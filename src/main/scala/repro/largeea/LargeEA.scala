@@ -17,7 +17,7 @@ object LargeEA {
   final case class Config(
       model: GnnEA.Config = GnnEA.Rrea,
       k: Int = 5,
-      strategy: PartitionStrategy = MetisCps.default,
+      strategy: PartitionStrategy = MetisCps,
       phi: Int = 50,          // semantic top-k
       theta: Double = 0.5,    // string-channel Jaccard bound
       gamma: Double = 0.05,   // Mn = Mse + γ·Mst
@@ -43,17 +43,17 @@ object LargeEA {
 
   /** Run LargeEA end to end on a dataset.
     *
-    * @param nameCache optionally a precomputed NFF result together with the
-    *                  wall seconds it took — table harnesses share the name
-    *                  channel across the four LargeEA variants (it is
-    *                  identical for all of them) and charge each variant the
-    *                  recorded time, as the paper's per-variant totals do.
+    * @param nameCache optionally a precomputed name matrix `Mn` together
+    *                  with the wall seconds NFF took — table harnesses share
+    *                  the name channel across the four LargeEA variants (it
+    *                  is identical for all of them) and charge each variant
+    *                  the recorded time, as the paper's per-variant totals do.
     */
   def run(
       spark: SparkSession,
       ds: EaDataset,
       cfg: Config,
-      nameCache: Option[(repro.name.Nff.Result, Double)] = None): Result = {
+      nameCache: Option[(SimMatrix, Double)] = None): Result = {
     val timings = scala.collection.mutable.Map[String, Double]()
     def timed[T](key: String)(f: => T): T = {
       val t0 = System.nanoTime()
@@ -66,20 +66,20 @@ object LargeEA {
     val truth = ds.truthPairs
 
     // ---- name channel ------------------------------------------------------
-    val nameRes =
+    val nameMn: Option[SimMatrix] =
       if (cfg.useNameChannel || cfg.useDataAug || cfg.unsupervised)
         nameCache match {
-          case Some((nr, secs)) => timings("name") = secs; Some(nr)
+          case Some((mn, secs)) => timings("name") = secs; Some(mn)
           case None =>
-            Some(timed("name")(Nff.compute(spark, ds, cfg.phi, cfg.theta, cfg.gamma)))
+            Some(timed("name")(Nff.compute(spark, ds, cfg.phi, cfg.theta, cfg.gamma).mn))
         }
       else None
 
     // ---- data augmentation -------------------------------------------------
     val (pseudo, seeds): (Array[(Long, Long)], Array[(Long, Long)]) =
-      nameRes match {
-        case Some(nr) if cfg.useDataAug || cfg.unsupervised =>
-          val p = timed("dataAug")(DataAug.pseudoSeedPairs(nr.mn))
+      nameMn match {
+        case Some(mn) if cfg.useDataAug || cfg.unsupervised =>
+          val p = timed("dataAug")(DataAug.pseudoSeedPairs(mn))
           val merged =
             if (cfg.unsupervised) p
             else DataAug.mergeSeeds(trainSeeds, p)
@@ -102,7 +102,7 @@ object LargeEA {
       } else None
 
     // ---- channel fusion ----------------------------------------------------
-    val mn = nameRes.filter(_ => cfg.useNameChannel).map(_.mn)
+    val mn = nameMn.filter(_ => cfg.useNameChannel)
     val fused: SimMatrix = (ms, mn) match {
       case (Some(a), Some(b)) => timed("fusion")(a.plus(b))
       case (Some(a), None)    => a

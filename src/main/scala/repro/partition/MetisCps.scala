@@ -1,7 +1,6 @@
 package repro.partition
 
 import repro.kg.EaDataset
-import scala.collection.mutable
 import scala.util.Random
 
 /** METIS-CPS — the METIS-based collaborative partition strategy (§2.2.1).
@@ -10,10 +9,11 @@ import scala.util.Random
   *  1. Partition the source KG Gs into K subgraphs with METIS (unit weights).
   *  2. For each source subgraph i, let L_t^i be the target entities whose
   *     seed-equivalent lives in subgraph i.
-  *  3. *Phase 1 — increasing weight for relevant entities*: pick q (=1)
-  *     hub entities per L_t^i, add virtual edges hub↔member where missing,
-  *     and reset every edge of the resulting connected graph CG^i to
-  *     w′ ≫ 1, so METIS will not split L_t^i.
+  *  3. *Phase 1 — increasing weight for relevant entities*: pick q = 1 hub
+  *     entity per L_t^i (one draw from the seed), add virtual edges
+  *     hub↔member where missing, and set every edge of the resulting
+  *     connected graph CG^i to `WPrime` (w′ = 1000 ≫ 1), so METIS will not
+  *     split L_t^i.
   *  4. *Phase 2 — reducing weight for irrelevant entities*: any original
   *     target edge between seed entities of *different* source subgraphs
   *     gets weight 0, so cutting it is free.
@@ -21,12 +21,16 @@ import scala.util.Random
   *  6. Pair each source subgraph with the target subgraph sharing the most
   *     seeds (greedy maximal matching on the seed-count matrix).
   *
-  * Virtual edges exist only inside the partitioner — the KG itself is
-  * never modified.
+  * Both METIS calls use `Metis`'s fixed balance bound (1.08 × the average
+  * part weight). The batches depend only on the two edge sets, the seed
+  * set, `k` and `seed`. Virtual edges exist only inside the partitioner —
+  * the KG itself is never modified.
   */
-final class MetisCps(wPrime: Double = 1000.0, q: Int = 1, imbalance: Double = 1.08)
-    extends PartitionStrategy {
+object MetisCps extends PartitionStrategy {
   override val name = "METIS-CPS"
+
+  /** w′, the weight of every edge of a seed group's graph CG^i. */
+  private val WPrime = 1000.0
 
   override def partition(
       ds: EaDataset, k: Int, seeds: Array[(Long, Long)], seed: Long): MiniBatches = {
@@ -36,46 +40,36 @@ final class MetisCps(wPrime: Double = 1000.0, q: Int = 1, imbalance: Double = 1.
 
     // -- step 1: METIS on the source KG ------------------------------------
     val gs = Metis.Graph.fromEdges(nS, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
-    val srcPart = Metis.partition(gs, k, imbalance, seed)
+    val srcPart = Metis.partition(gs, k, seed)
 
     // -- step 2: L_t^i — seed groups on the target side --------------------
     // groupOf(targetEntity) = source subgraph of its seed partner, or -1.
     val groupOf = Array.fill(nT)(-1)
     seeds.foreach { case (s, t) => groupOf(t.toInt) = srcPart(s.toInt) }
-    val groups: Map[Int, Array[Int]] =
-      seeds.map { case (s, t) => (srcPart(s.toInt), t.toInt) }
-        .groupBy(_._1).map { case (g, arr) => g -> arr.map(_._2).distinct }
+    val groups = (0 until nT).filter(groupOf(_) >= 0).groupBy(groupOf)
 
     // -- steps 3+4: re-weight the target graph ------------------------------
-    def key(u: Int, v: Int): Long =
-      math.min(u, v).toLong * nT + math.max(u, v)
-
-    val weight = mutable.LongMap.empty[Double]
-    ds.target.undirectedEdges.foreach { case (u, v) =>
+    // hubOf(m) = the hub of m's group, for every member that is not a hub
+    val hubOf = Array.fill(nT)(-1)
+    for (g <- 0 until k; members <- groups.get(g) if members.length > 1) {
+      val hub = members(rnd.nextInt(members.length))
+      members.foreach(m => if (m != hub) hubOf(m) = hub)
+    }
+    val reweighted = ds.target.undirectedEdges.map { case (u, v) =>
       val gu = groupOf(u); val gv = groupOf(v)
       val w =
-        if (gu >= 0 && gu == gv) wPrime                  // phase 1: inside CG^i
-        else if (gu >= 0 && gv >= 0 && gu != gv) 0.0     // phase 2: across groups
+        if (hubOf(u) == v || hubOf(v) == u) 0.0  // its virtual edge below adds w′
+        else if (gu >= 0 && gu == gv) WPrime     // phase 1: inside CG^i
+        else if (gu >= 0 && gv >= 0) 0.0         // phase 2: across groups
         else 1.0
-      weight(key(u, v)) = w
+      (u, v, w)
     }
-    // phase 1 virtual edges: q hubs per group reach every other member
-    groups.valuesIterator.foreach { members =>
-      if (members.length > 1) {
-        val hubs = rnd.shuffle(members.toVector).take(math.max(1, q))
-        for (h <- hubs; m <- members if m != h) {
-          val kk = key(h, m)
-          if (!weight.contains(kk) || weight(kk) < wPrime) weight(kk) = wPrime
-        }
-      }
-    }
+    // phase 1 virtual edges: the hub reaches every other member with weight w′
+    val virtual = (0 until nT).collect { case m if hubOf(m) >= 0 => (hubOf(m), m, WPrime) }
 
     // -- step 5: METIS on the re-weighted target graph ----------------------
-    val edgeList = weight.iterator.map { case (kk, w) =>
-      ((kk / nT).toInt, (kk % nT).toInt, w)
-    }.toArray
-    val gt = Metis.Graph.fromEdges(nT, edgeList)
-    val tgtRaw = Metis.partition(gt, k, imbalance, seed + 1)
+    val gt = Metis.Graph.fromEdges(nT, reweighted ++ virtual)
+    val tgtRaw = Metis.partition(gt, k, seed + 1)
 
     // -- step 6: pair subgraphs by shared seed count -------------------------
     val count = Array.ofDim[Int](k, k)
@@ -113,9 +107,4 @@ final class MetisCps(wPrime: Double = 1000.0, q: Int = 1, imbalance: Double = 1.
     }
     mapping
   }
-}
-
-object MetisCps {
-  /** Default instance with the paper's settings (q = 1, w′ ≫ 1). */
-  val default = new MetisCps()
 }

@@ -8,7 +8,7 @@ import repro.kg.KGGen
 class MetisCpsSpec extends SparkSpec {
 
   private lazy val ds = KGGen.generate(spark, Datasets.tiny())
-  private lazy val cps = MetisCps.default
+  private lazy val cps = MetisCps
   private lazy val batches = cps.partition(ds, 3, ds.trainPairs, seed = 7)
 
   test("every entity on both sides gets a valid batch") {

@@ -87,6 +87,12 @@ class MetisSpec extends SparkSpec with PropHelper {
     val i = g.adjN(0).indexOf(1)
     assert(g.adjW(0)(i) == 3.0)
     assert(g.adjN(2).isEmpty)
+    // adjacency lists are sorted by neighbour id
+    val h = Metis.Graph.fromEdges(4, Seq((0, 3, 1.0), (2, 0, 1.0), (0, 1, 1.0)))
+    assert(h.adjN(0).toSeq == Seq(1, 2, 3))
+    // an endpoint outside [0, n) is rejected
+    assert(intercept[IllegalArgumentException](Metis.Graph.fromEdges(2, Seq((0, -1, 1.0))))
+      .getMessage.contains("outside [0, 2)"))
   }
 
   test("cutWeight counts each edge once") {
@@ -122,6 +128,22 @@ class MetisSpec extends SparkSpec with PropHelper {
       p.length == n &&
         p.forall(x => x >= 0 && x < k) &&
         sizes.max <= math.ceil(n.toDouble / k * 1.6) + 2
+    }, minSuccessful = 20)
+  }
+
+  test("property: parts do not depend on edge order, orientation or splitting") {
+    checkProp(Prop.forAll(
+      Gen.choose(20, 200), Gen.choose(2, 6), Gen.choose(0, 1000)) { (n: Int, k: Int, s: Int) =>
+      val r = new Random(s)
+      val edges = (0 until n * 3).map(_ => (r.nextInt(n), r.nextInt(n), (1 + r.nextInt(4)).toDouble))
+      // flip some edges, split some into two parallel edges whose weights
+      // sum to the original, then permute the list
+      val varied = r.shuffle(edges.flatMap { case (u, v, w) =>
+        val (a, b) = if (r.nextBoolean()) (v, u) else (u, v)
+        if (w >= 2 && r.nextBoolean()) Seq((a, b, 1.0), (b, a, w - 1)) else Seq((a, b, w))
+      })
+      val p = Metis.partition(Metis.Graph.fromEdges(n, edges), k, seed = s)
+      p.toSeq == Metis.partition(Metis.Graph.fromEdges(n, varied), k, seed = s).toSeq
     }, minSuccessful = 20)
   }
 

@@ -12,7 +12,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
   private lazy val ds = KGGen.generate(spark, Datasets.tiny())
 
   test("Ms support is block-diagonal w.r.t. the mini-batches") {
-    val batches = MetisCps.default.partition(ds, 3, ds.trainPairs, seed = 7)
+    val batches = MetisCps.partition(ds, 3, ds.trainPairs, seed = 7)
     val ms = StructChannel.computeMs(spark, ds, batches, ds.trainPairs, GnnEA.Gcn, topK = 5)
     ms.df.collect().foreach { r =>
       val s = r.getLong(0).toInt; val t = r.getLong(1).toInt
@@ -40,7 +40,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
   }
 
   test("METIS-CPS batches beat VPS batches on structure-only H@1") {
-    val cps = MetisCps.default.partition(ds, 3, ds.trainPairs, seed = 7)
+    val cps = MetisCps.partition(ds, 3, ds.trainPairs, seed = 7)
     val vps = Vps.partition(ds, 3, ds.trainPairs, seed = 7)
     val mCps = StructChannel.computeMs(spark, ds, cps, ds.trainPairs, GnnEA.Rrea, 10)
     val mVps = StructChannel.computeMs(spark, ds, vps, ds.trainPairs, GnnEA.Rrea, 10)
@@ -52,7 +52,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
 
   test("partitioned training loses accuracy vs no partition (paper §3.4)") {
     val whole = MiniBatches(1, Array.fill(300)(0), Array.fill(300)(0))
-    val cps = MetisCps.default.partition(ds, 3, ds.trainPairs, seed = 7)
+    val cps = MetisCps.partition(ds, 3, ds.trainPairs, seed = 7)
     val sWhole = repro.eval.Metrics.evaluate(
       StructChannel.computeMs(spark, ds, whole, ds.trainPairs, GnnEA.Rrea, 10), ds.test)
     val sCps = repro.eval.Metrics.evaluate(
@@ -62,7 +62,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
   }
 
   test("RREA variant beats GCN variant (paper's model ordering)") {
-    val cps = MetisCps.default.partition(ds, 3, ds.trainPairs, seed = 7)
+    val cps = MetisCps.partition(ds, 3, ds.trainPairs, seed = 7)
     val r = repro.eval.Metrics.evaluate(
       StructChannel.computeMs(spark, ds, cps, ds.trainPairs, GnnEA.Rrea, 10), ds.test)
     val g = repro.eval.Metrics.evaluate(
@@ -75,7 +75,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
     val few = ds.trainPairs.take(20)
     val many = ds.truthPairs.take(150)
     def h1(seeds: Array[(Long, Long)]): Double = {
-      val b = MetisCps.default.partition(ds, 3, seeds, seed = 7)
+      val b = MetisCps.partition(ds, 3, seeds, seed = 7)
       repro.eval.Metrics.evaluate(
         StructChannel.computeMs(spark, ds, b, seeds, GnnEA.Rrea, 10), ds.test).hits1
     }
