@@ -131,16 +131,22 @@ object Baselines {
       val bcBert = sc.broadcast(bert)
       val bcSrc = sc.broadcast(srcNames)
       val bcTgt = sc.broadcast(tgtNames)
+      val bcPtr = sc.broadcast(coarse.rowPtr)
+      val bcCand = sc.broadcast(coarse.tgt)
+      val bcScore = sc.broadcast(coarse.score)
 
-      val rescored = sc.parallelize(coarse.cells.toSeq).map { case (s, t, coarseScore) =>
+      SimMatrix.tabulate(spark, coarse.numRows, coarse.numCols) { s =>
         val b = bcBert.value
         val sToks = b.tokenize(bcSrc.value(s)).map(b.tokenVector)
-        val tToks = b.tokenize(bcTgt.value(t)).map(b.tokenVector)
-        val inter = interaction(sToks, tToks)
-        val strSim = Stns.levenshteinSim(bcSrc.value(s), bcTgt.value(t))
-        (s.toLong, t.toLong, 0.2 * coarseScore + inter + 0.1 * strSim)
-      }.collect()
-      SimMatrix.fromLocal(spark, rescored, coarse.numRows, coarse.numCols)
+        val cells = bcPtr.value(s) until bcPtr.value(s + 1)
+        (cells.map(bcCand.value).toArray, cells.map { i =>
+          val t = bcCand.value(i)
+          val tToks = b.tokenize(bcTgt.value(t)).map(b.tokenVector)
+          val inter = interaction(sToks, tToks)
+          val strSim = Stns.levenshteinSim(bcSrc.value(s), bcTgt.value(t))
+          0.2 * bcScore.value(i) + inter + 0.1 * strSim
+        }.toArray)
+      }
     }
     RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }

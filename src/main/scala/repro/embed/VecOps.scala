@@ -97,64 +97,195 @@ object VecOps {
     out
   }
 
-  /** `out(j) = manhattanSim(row, target from + j)` for `j < out.length`,
-    * where target t is row t of the flat row-major matrix `targets` (row
-    * length `row.length`, which must not be 0). Four targets are summed per
-    * pass over `row`, each in its own double accumulator in `manhattan`'s
-    * order of additions, so every score has `manhattanSim`'s bits.
+  /** Exact top-k of `row` against `targets` by `manhattanSim`, in rank
+    * order: (target index, score), score desc, then index asc.
     */
-  def l1Sims(row: Array[Float], targets: Array[Float], from: Int, out: Array[Double]): Unit = {
-    val dim = row.length
-    require(dim > 0 && from >= 0 && (from.toLong + out.length) * dim <= targets.length,
-      s"targets $from until ${from + out.length} are not rows of length $dim in ${targets.length} floats")
-    val n = out.length
+  def l1TopK(row: Array[Float], targets: L1Targets, k: Int): (Array[Int], Array[Double]) = {
+    val top = new TopK(k)
+    l1Scan(row, targets, top)
+    top.result()
+  }
+
+  /** Offers `top` the score of every target that could enter it, in
+    * ascending target order, and returns how many were rescored: pass 1
+    * fills the filter value `Q` of every target, and pass 2 rescores only
+    * the targets within `kthCut`.
+    */
+  private[embed] def l1Scan(row: Array[Float], targets: L1Targets, top: TopK): Int = {
+    if (top.k == 0) return 0
+    val q = new Array[Int](targets.n)
+    targets.filter(row, q)
+    val cut = targets.kthCut(q, top.k)
+    val cand = new Array[Int](q.length)
+    var m = 0
+    var t = 0
+    while (t < q.length) { if (q(t) <= cut) { cand(m) = t; m += 1 }; t += 1 } // an exact-path target has q = -1
+    val sims = new Array[Double](m)
+    targets.sims(row, cand, sims)
     var j = 0
-    while (j + 4 <= n) {
-      val o0 = (from + j) * dim; val o1 = o0 + dim; val o2 = o1 + dim; val o3 = o2 + dim
+    while (j < m) { top.offer(sims(j), cand(j)); j += 1 }
+    m
+  }
+}
+
+/** Equal-length targets for the exact L1 kernel: the rows laid end to end as
+  * `Float`s, next to an `Int` copy `q = rint(x·S)`, built once per target
+  * matrix. `S` is the largest power of two with `|rint(M·S)| <= qMax`, where
+  * `M` is the largest finite `|x|` among the targets and the rows to be
+  * scored, and `qMax = (2³¹ − 1) / (2·dim)`, so a sum of `dim` terms
+  * `|q_row − q_t|` cannot overflow.
+  *
+  * Why the filter is exact: per value `|q − S·x| <= 1/2`, so the filter
+  * value `Q = Σ |q_row − q_t|` is within `dim` of `S·D`, where `D` is the
+  * real L1 distance. The exact distance `d` (`manhattan`: a `Float`
+  * difference per value, summed in `Double`) is within a relative 2⁻²¹ of
+  * `D`. `cut` and `floorScore` carry those bounds, plus the rounding of
+  * `1/(1+d)`, with margins. A row or target holding a non-finite value, or
+  * a value past `qMax`, takes the exact path: it is always rescored.
+  */
+final class L1Targets private (
+    val n: Int,
+    val dim: Int,
+    private val flat: Array[Float],
+    private val scale: Double,
+    private val qFlat: Array[Int],
+    private val exact: Array[Boolean]) extends Serializable {
+
+  private val qMax = L1Targets.qMax(dim)
+
+  /** `q = rint(x·S)` of `v`'s values into `out` from `at`; false when one is
+    * not finite or past `qMax` (`x·S` is exact in `Double`).
+    */
+  private def quantize(v: Array[Float], out: Array[Int], at: Int): Boolean = {
+    var d = 0
+    while (d < v.length) {
+      val x = math.rint(v(d) * scale)
+      if (!(math.abs(x) <= qMax)) return false
+      out(at + d) = x.toInt
+      d += 1
+    }
+    true
+  }
+
+  /** Pass 1: `out(t)` = the filter value `Q` of `row` and target `t`, or −1
+    * for a target (or every target, for a row) on the exact path.
+    */
+  def filter(row: Array[Float], out: Array[Int]): Unit = {
+    require(row.length == dim, s"row length ${row.length} is not the target length $dim")
+    val qr = new Array[Int](dim)
+    if (dim == 0 || !quantize(row, qr, 0)) { java.util.Arrays.fill(out, 0, n, -1); return }
+    var t = 0
+    while (t < n) {
+      if (exact(t)) out(t) = -1
+      else {
+        val o = t * dim
+        var s = 0
+        var d = 0
+        while (d < dim) { s += math.abs(qr(d) - qFlat(o + d)); d += 1 }
+        out(t) = s
+      }
+      t += 1
+    }
+  }
+
+  /** `out(j) = manhattanSim(row, target cand(j))` for `j < out.length`.
+    * Four targets are summed per pass over `row`, each in its own `Double`
+    * accumulator in `manhattan`'s order of additions, so every score has
+    * `manhattanSim`'s bits.
+    */
+  def sims(row: Array[Float], cand: Array[Int], out: Array[Double]): Unit = {
+    val m = out.length
+    var j = 0
+    while (j + 4 <= m) {
+      val o0 = cand(j) * dim; val o1 = cand(j + 1) * dim; val o2 = cand(j + 2) * dim; val o3 = cand(j + 3) * dim
       var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
       var d = 0
       while (d < dim) {
         val x = row(d)
-        s0 += math.abs(x - targets(o0 + d))
-        s1 += math.abs(x - targets(o1 + d))
-        s2 += math.abs(x - targets(o2 + d))
-        s3 += math.abs(x - targets(o3 + d))
+        s0 += math.abs(x - flat(o0 + d))
+        s1 += math.abs(x - flat(o1 + d))
+        s2 += math.abs(x - flat(o2 + d))
+        s3 += math.abs(x - flat(o3 + d))
         d += 1
       }
       out(j) = 1.0 / (1.0 + s0); out(j + 1) = 1.0 / (1.0 + s1)
       out(j + 2) = 1.0 / (1.0 + s2); out(j + 3) = 1.0 / (1.0 + s3)
       j += 4
     }
-    while (j < n) {
-      val o = (from + j) * dim
+    while (j < m) {
+      val o = cand(j) * dim
       var s = 0.0
       var d = 0
-      while (d < dim) { s += math.abs(row(d) - targets(o + d)); d += 1 }
+      while (d < dim) { s += math.abs(row(d) - flat(o + d)); d += 1 }
       out(j) = 1.0 / (1.0 + s)
       j += 1
     }
   }
 
-  /** Exact top-k of `row` against the flat row-major `targets` by
-    * `manhattanSim`, in rank order: (target index, score), score desc, then
-    * index asc.
+  /** A `Q` above which a target scores strictly below `score`; `Int.MaxValue`
+    * when `score` is not positive (NaN: nothing is known). With
+    * `u = (1/score)·(1 + 2⁻⁴⁸) − 1`, a target past `dim + ⌈S·u·(1 + 2⁻²⁰)⌉ + 1`
+    * has `d > u`, so `1 + d` exceeds `1/score` by more than the rounding of
+    * `1/(1+d)`.
     */
-  def l1TopK(row: Array[Float], targets: Array[Float], k: Int): (Array[Int], Array[Double]) = {
-    val top = new TopK(k)
-    require(row.nonEmpty && targets.length % row.length == 0,
-      s"${targets.length} target floats are not rows of length ${row.length}")
-    val n = targets.length / row.length
-    // scored in chunks, so a row allocates 2 KB, not 8 bytes per target
-    val chunk = new Array[Double](math.min(n, 256))
-    var from = 0
-    while (from < n) {
-      val sims = if (n - from >= chunk.length) chunk else new Array[Double](n - from)
-      l1Sims(row, targets, from, sims)
-      var j = 0
-      while (j < sims.length) { top.offer(sims(j), from + j); j += 1 }
-      from += sims.length
+  def cut(score: Double): Int = {
+    if (!(score > 0)) return Int.MaxValue
+    val u = math.max(0.0, (1.0 / score) * (1 + L1Targets.Ulp48) - 1.0)
+    val v = scale * u * (1 + L1Targets.Ulp20)
+    if (v < Int.MaxValue - dim - 2) dim + math.ceil(v).toInt + 1 else Int.MaxValue
+  }
+
+  /** A `Q` past which a target scores strictly below k others, from the k
+    * smallest filter values of pass 1 in `q`; `Int.MaxValue` when there are
+    * fewer than k, or when a target takes the exact path. Without one, no
+    * score is NaN, so scores are totally ordered and a target that k others
+    * beat is in no top k, whatever else is offered.
+    */
+  def kthCut(q: Array[Int], k: Int): Int = {
+    val smallest = new TopK(k) // as scores -Q
+    var t = 0
+    while (t < q.length) {
+      if (q(t) < 0) return Int.MaxValue
+      smallest.offer(-q(t).toDouble, t)
+      t += 1
     }
-    top.result()
+    if (smallest.worst.isNaN) Int.MaxValue else cut(floorScore(-smallest.worst.toInt))
+  }
+
+  /** A lower bound on the score of every non-exact target with `Q <= q`:
+    * its `d` is at most `(q + dim)/S · (1 + 2⁻²⁰)`.
+    */
+  def floorScore(q: Int): Double =
+    (1.0 / (1.0 + (q.toDouble + dim) / scale * (1 + L1Targets.Ulp20))) * (1 - L1Targets.Ulp48)
+}
+
+object L1Targets {
+
+  /** 2⁻²⁰ and 2⁻⁴⁸: the relative margins of `cut` and `floorScore`. */
+  private val Ulp20 = math.scalb(1.0, -20)
+  private val Ulp48 = math.scalb(1.0, -48)
+
+  /** The largest `|q|` a value may take: `dim` terms of `|q_row − q_t|` sum below 2³¹. */
+  private def qMax(dim: Int): Int = if (dim == 0) 0 else Int.MaxValue / (2 * dim)
+
+  /** `targets` quantized at a scale that also fits the values of `rows`
+    * (the rows to be scored; others may take the exact path). Throws
+    * IllegalArgumentException when the vectors differ in length.
+    */
+  def apply(targets: Array[Array[Float]], rows: Array[Array[Float]]): L1Targets = {
+    val dim = targets.headOption.orElse(rows.headOption).fold(0)(_.length)
+    require(rows.forall(_.length == dim), s"rows are not all of the target length $dim")
+    val flat = VecOps.flatten(targets)
+    var m = 0f
+    for (vs <- Array(targets, rows); v <- vs) {
+      var d = 0
+      while (d < v.length) { val x = math.abs(v(d)); if (x > m && x <= Float.MaxValue) m = x; d += 1 }
+    }
+    val scale = if (m == 0) 1.0 else math.scalb(1.0, math.getExponent(qMax(dim) / m))
+    val q = new Array[Int](flat.length)
+    val l = new L1Targets(targets.length, dim, flat, scale, q, new Array[Boolean](targets.length))
+    targets.indices.foreach(t => if (!l.quantize(targets(t), q, t * dim)) l.exact(t) = true)
+    l
   }
 }
 
@@ -162,7 +293,7 @@ object VecOps {
   * to the lower index whatever the offer order. A bounded min-heap over
   * primitive arrays whose root is the worst kept offer; k = 0 keeps nothing.
   */
-final class TopK(k: Int) {
+final class TopK(val k: Int) {
   require(k >= 0, s"k must be >= 0, got $k")
   private val score = new Array[Double](k)
   private val index = new Array[Int](k)
@@ -177,6 +308,9 @@ final class TopK(k: Int) {
       score(0) = s; index(0) = i
       siftDown(0, size)
     }
+
+  /** The worst kept score once k offers are kept; NaN before (and at k = 0). */
+  def worst: Double = if (k > 0 && size == k) score(0) else Double.NaN
 
   /** The kept offers in rank order, as (indices, scores). Empties the heap. */
   def result(): (Array[Int], Array[Double]) = {

@@ -1,7 +1,7 @@
 package repro.name
 
 import org.apache.spark.sql.SparkSession
-import repro.embed.VecOps
+import repro.embed.{L1Targets, VecOps}
 import repro.sim.SimMatrix
 
 /** SENS — semantic name similarity (paper §2.3).
@@ -12,10 +12,11 @@ import repro.sim.SimMatrix
   * top-k cells populate Mse.
   *
   * This is an *exact* re-implementation of the same output: the target
-  * embeddings are broadcast as one flat row-major `Float` array, and each
-  * source row runs `VecOps.l1TopK` over all of it (identical result to
-  * merging the K per-segment top-k lists). Spark parallelizes over source
-  * rows. Scores are 1/(1+L1), so fusion can add them.
+  * embeddings are broadcast once as `L1Targets` (flat `Float`s and their
+  * `Int` copy for the pre-filter, Faiss's SIMD scan in the paper), and each
+  * source row runs `VecOps.l1TopK` over all of them (identical result to
+  * merging the K per-segment top-k lists). Spark parallelizes over slices
+  * of source rows. Scores are 1/(1+L1), so fusion can add them.
   */
 object Sens {
 
@@ -36,14 +37,12 @@ object Sens {
       k: Int,
       segments: Int = 4): SimMatrix = {
     require(k >= 0, s"k must be >= 0, got $k")
-    val bcTgt = spark.sparkContext.broadcast(VecOps.flatten(tgtVecs))
-    val blocks = spark.sparkContext
-      .parallelize(srcVecs.zipWithIndex.toIndexedSeq, math.min(64, math.max(1, srcVecs.length / 256)))
-      .map { case (sv, sid) =>
-        val (tgt, score) = VecOps.l1TopK(sv, bcTgt.value, k)
-        SimMatrix.Block(Array.fill(tgt.length)(sid), tgt, score)
-      }
-      .collect()
-    SimMatrix.fromBlocks(spark, srcVecs.length, tgtVecs.length, blocks)
+    val sc = spark.sparkContext
+    val targets = sc.broadcast(L1Targets(tgtVecs, srcVecs))
+    val src = sc.broadcast(VecOps.flatten(srcVecs))
+    val dim = targets.value.dim
+    SimMatrix.tabulate(spark, srcVecs.length, tgtVecs.length) { s =>
+      VecOps.l1TopK(java.util.Arrays.copyOfRange(src.value, s * dim, (s + 1) * dim), targets.value, k)
+    }
   }
 }

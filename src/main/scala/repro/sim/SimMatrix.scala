@@ -41,17 +41,33 @@ final class SimMatrix private (
     */
   def plus(other: SimMatrix, weight: Double = 1.0): SimMatrix = {
     val nR = math.max(numRows, other.numRows)
-    val src = Array.newBuilder[Int]
-    val tgtOut = Array.newBuilder[Int]
-    val scoreOut = Array.newBuilder[Double]
+    val src = new Array[Int](nnz.toInt + other.tgt.length)
+    val tgtOut = new Array[Int](src.length)
+    val scoreOut = new Array[Double](src.length)
+    var n = 0
     val b = Array.fill(math.max(numCols, other.numCols))(Double.NaN) // weight·other's row s; NaN: no cell
-    for (s <- 0 until nR) {
-      val bRow = other.row(s)
-      bRow.foreach { case (t, v) => b(t) = weight * v }
-      for ((t, v) <- row(s)) { src += s; tgtOut += t; scoreOut += (if (b(t).isNaN) v else v + b(t)); b(t) = Double.NaN }
-      for ((t, _) <- bRow if !b(t).isNaN) { src += s; tgtOut += t; scoreOut += b(t); b(t) = Double.NaN }
+    var s = 0
+    while (s < nR) {
+      val (from, until) = if (s < numRows) (rowPtr(s), rowPtr(s + 1)) else (0, 0)
+      val (oFrom, oUntil) = if (s < other.numRows) (other.rowPtr(s), other.rowPtr(s + 1)) else (0, 0)
+      var i = oFrom
+      while (i < oUntil) { b(other.tgt(i)) = weight * other.score(i); i += 1 }
+      i = from
+      while (i < until) {
+        val t = tgt(i)
+        src(n) = s; tgtOut(n) = t; scoreOut(n) = if (b(t).isNaN) score(i) else score(i) + b(t)
+        b(t) = Double.NaN; n += 1; i += 1
+      }
+      i = oFrom
+      while (i < oUntil) {
+        val t = other.tgt(i)
+        if (!b(t).isNaN) { src(n) = s; tgtOut(n) = t; scoreOut(n) = b(t); b(t) = Double.NaN; n += 1 }
+        i += 1
+      }
+      s += 1
     }
-    SimMatrix.fromBlocks(spark, nR, b.length, Seq(SimMatrix.Block(src.result(), tgtOut.result(), scoreOut.result())))
+    SimMatrix.fromBlocks(spark, nR, b.length, Seq(SimMatrix.Block(
+      java.util.Arrays.copyOf(src, n), java.util.Arrays.copyOf(tgtOut, n), java.util.Arrays.copyOf(scoreOut, n))))
   }
 
   /** A no-op: the matrix already lives in local memory. */
@@ -75,6 +91,24 @@ object SimMatrix {
     def id(x: Long): Int = x.max(-1L).min(Int.MaxValue.toLong).toInt // out of range stays out of range
     fromBlocks(spark, numRows, numCols,
       Seq(Block(rows.map(c => id(c._1)).toArray, rows.map(c => id(c._2)).toArray, rows.map(_._3).toArray)))
+  }
+
+  /** Build from rows computed by parallel Spark tasks, each over a slice of
+    * row ids: `row(s)` gives row s's cells as (targets, scores).
+    */
+  def tabulate(spark: SparkSession, numRows: Int, numCols: Int)(row: Int => (Array[Int], Array[Double])): SimMatrix = {
+    val slices = math.min(64, math.max(1, numRows / 256))
+    val blocks = spark.sparkContext.parallelize(0 until slices, slices).map { p =>
+      val src = Array.newBuilder[Int]
+      val tgt = Array.newBuilder[Int]
+      val score = Array.newBuilder[Double]
+      for (s <- (numRows.toLong * p / slices).toInt until (numRows.toLong * (p + 1) / slices).toInt) {
+        val (t, v) = row(s)
+        src ++= Array.fill(t.length)(s); tgt ++= t; score ++= v
+      }
+      Block(src.result(), tgt.result(), score.result())
+    }.collect()
+    fromBlocks(spark, numRows, numCols, blocks.toSeq)
   }
 
   /** Build from the cell blocks of parallel tasks. Throws

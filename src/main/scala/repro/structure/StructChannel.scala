@@ -1,7 +1,7 @@
 package repro.structure
 
 import org.apache.spark.sql.SparkSession
-import repro.embed.VecOps
+import repro.embed.{L1Targets, VecOps}
 import repro.kg.EaDataset
 import repro.partition.MiniBatches
 import repro.sim.SimMatrix
@@ -57,28 +57,36 @@ object StructChannel {
 
   /** Mutual nearest neighbours between two embedding sets, excluding the
     * entities whose skip flag is set; ties broken by lower index. One pass
-    * over the free source × free target pairs keeps both the row argmax and
-    * the column argmax.
+    * over the free sources keeps both the row argmax and the column argmax,
+    * through the exact L1 pre-filter: a pair is rescored only when its
+    * filter value is within the row's cut (`kthCut` at k = 1) or the
+    * column's (`thrCol`, the cut of its best score so far), so a skipped
+    * pair scores strictly below both and could change neither.
     */
   private[structure] def mutualNN(
       hs: Array[Array[Float]], ht: Array[Array[Float]],
       skipS: Array[Boolean], skipT: Array[Boolean]): Array[(Int, Int)] = {
     val freeT = ht.indices.filterNot(skipT).toArray
     if (hs.isEmpty || freeT.isEmpty) return Array.empty
-    val flatT = VecOps.flatten(freeT.map(ht))
-    val sims = new Array[Double](freeT.length)
+    val targets = L1Targets(freeT.map(ht), hs)
+    val q = new Array[Int](freeT.length)
+    val cand = new Array[Int](freeT.length)
     val bestT = Array.fill(hs.length)(-1)      // row argmax, a position in freeT
     val bestS = Array.fill(freeT.length)(-1)   // column argmax over free sources
     val bestSSim = Array.fill(freeT.length)(-1.0)
+    val thrCol = Array.fill(freeT.length)(Int.MaxValue)
     for (i <- hs.indices if !skipS(i)) {
-      VecOps.l1Sims(hs(i), flatT, 0, sims)
+      targets.filter(hs(i), q)
+      val rowCut = targets.kthCut(q, 1)
+      var m = 0
+      for (c <- q.indices) if (q(c) <= rowCut || q(c) <= thrCol(c)) { cand(m) = c; m += 1 } // exact path: q = -1
+      val sims = new Array[Double](m)
+      targets.sims(hs(i), cand, sims)
       var best = -1; var bestSim = -1.0
-      var c = 0
-      while (c < sims.length) {
-        val s = sims(c)
+      for (j <- 0 until m) {
+        val c = cand(j); val s = sims(j)
         if (s > bestSim) { bestSim = s; best = c }
-        if (s > bestSSim(c)) { bestSSim(c) = s; bestS(c) = i }
-        c += 1
+        if (s > bestSSim(c)) { bestSSim(c) = s; bestS(c) = i; thrCol(c) = targets.cut(s) }
       }
       bestT(i) = best
     }
@@ -86,6 +94,18 @@ object StructChannel {
       .filter(i => !skipS(i) && bestT(i) >= 0 && bestS(bestT(i)) == i)
       .map(i => (i, freeT(bestT(i))))
       .toArray
+  }
+
+  /** The ids `e < n` in part `b`, ascending, and each id's batch-local id:
+    * its position among them, or -1 outside the batch.
+    */
+  private def localIds(part: Array[Int], n: Int, b: Int): (Array[Int], Array[Int]) = {
+    val local = Array.fill(n)(-1)
+    var size = 0
+    for (e <- 0 until n) if (part(e) == b) { local(e) = size; size += 1 }
+    val ids = new Array[Int](size)
+    for (e <- 0 until n) if (local(e) >= 0) ids(local(e)) = e
+    (ids, local)
   }
 
   /** Train one mini-batch and emit its similarity rows, each in rank order. */
@@ -100,19 +120,17 @@ object StructChannel {
       topK: Int): SimMatrix.Block = {
 
     // ---- local id spaces for the batch subgraphs ---------------------------
-    val srcIds = (0 until nS).filter(srcPart(_) == b).toArray
-    val tgtIds = (0 until nT).filter(tgtPart(_) == b).toArray
+    val (srcIds, srcLocal) = localIds(srcPart, nS, b)
+    val (tgtIds, tgtLocal) = localIds(tgtPart, nT, b)
     if (srcIds.isEmpty || tgtIds.isEmpty) return SimMatrix.Block(Array.empty, Array.empty, Array.empty)
-    val srcLocal = srcIds.zipWithIndex.toMap
-    val tgtLocal = tgtIds.zipWithIndex.toMap
 
     // triples fully inside the batch (edges cut by the partition are lost —
     // that is the accuracy cost the name channel recoups)
     val sT = srcTriples.collect {
-      case (h, r, t) if srcPart(h) == b && srcPart(t) == b => (srcLocal(h), r, srcLocal(t))
+      case (h, r, t) if srcLocal(h) >= 0 && srcLocal(t) >= 0 => (srcLocal(h), r, srcLocal(t))
     }
     val tT = tgtTriples.collect {
-      case (h, r, t) if tgtPart(h) == b && tgtPart(t) == b => (tgtLocal(h), r, tgtLocal(t))
+      case (h, r, t) if tgtLocal(h) >= 0 && tgtLocal(t) >= 0 => (tgtLocal(h), r, tgtLocal(t))
     }
 
     // seeds fully inside the batch anchor the two sides to a shared space;
@@ -121,7 +139,7 @@ object StructChannel {
     val tgtAnchors = scala.collection.mutable.Map[Int, Long]()
     seeds.zipWithIndex.foreach { case ((s, t), i) =>
       val si = s.toInt; val ti = t.toInt
-      if (srcPart(si) == b && tgtPart(ti) == b) {
+      if (srcLocal(si) >= 0 && tgtLocal(ti) >= 0) {
         srcAnchors(srcLocal(si)) = i.toLong
         tgtAnchors(tgtLocal(ti)) = i.toLong
       }
@@ -149,9 +167,9 @@ object StructChannel {
 
     // ---- Manhattan similarity rows, top-k per source ------------------------
     // tgtIds ascends, so l1TopK's lower-index tiebreak is a lower-target one
-    val flatT = VecOps.flatten(ht)
-    val rows = hs.map(VecOps.l1TopK(_, flatT, topK))
+    val targets = L1Targets(ht, hs)
+    val rows = hs.map(VecOps.l1TopK(_, targets, topK))
     SimMatrix.Block(srcIds.zip(rows).flatMap { case (s, (t, _)) => Array.fill(t.length)(s) },
-      rows.flatMap(_._1.map(tgtIds)), rows.flatMap(_._2))
+      rows.flatMap(_._1.map(t => tgtIds(t))), rows.flatMap(_._2))
   }
 }

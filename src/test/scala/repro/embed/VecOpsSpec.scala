@@ -115,15 +115,17 @@ class VecOpsSpec extends AnyFunSuite with PropHelper {
 
   test("topK and l1TopK keep nothing at k = 0 and reject k < 0 or ragged targets") {
     assert(topK(Array(0.5, 0.2), 0, 0 to 1).isEmpty)
-    assert(VecOps.l1TopK(Array(1f), Array(1f, 2f), 0)._1.isEmpty)
+    val targets = L1Targets(Array(Array(1f), Array(2f)), Array(Array(1f)))
+    assert(VecOps.l1TopK(Array(1f), targets, 0)._1.isEmpty)
     intercept[IllegalArgumentException](new TopK(-1))
-    intercept[IllegalArgumentException](VecOps.l1TopK(Array(1f), Array(1f, 2f), -1))
-    intercept[IllegalArgumentException](VecOps.l1TopK(Array(1f, 2f), Array(1f, 2f, 3f), 1))
+    intercept[IllegalArgumentException](VecOps.l1TopK(Array(1f), targets, -1))
+    intercept[IllegalArgumentException](VecOps.l1TopK(Array(1f, 2f), targets, 1))
+    intercept[IllegalArgumentException](L1Targets(Array(Array(1f, 2f), Array(3f)), Array.empty))
+    intercept[IllegalArgumentException](L1Targets(Array(Array(1f, 2f)), Array(Array(3f))))
   }
 
   /** A row and n targets drawn from a pool of `pool` vectors, so equal
-    * targets (and so tied scores) are common. Some n exceed l1TopK's
-    * 256-target chunk.
+    * targets (and so tied scores) are common. Some n exceed k.
     */
   private val genTargets: Gen[(Array[Float], Array[Array[Float]])] = for {
     dim  <- Gen.choose(1, 9)
@@ -133,21 +135,125 @@ class VecOpsSpec extends AnyFunSuite with PropHelper {
     pick <- Gen.listOfN(n, Gen.choose(1, pool))
   } yield (vecs.head, pick.map(vecs(_)).toArray)
 
-  test("property: l1Sims scores have manhattanSim's bits") {
-    checkProp(Prop.forAll(genTargets, Gen.choose(0, 600)) { case ((row, tv), f) =>
-      val from = f % (tv.length + 1)
-      val out = new Array[Double](tv.length - from)
-      VecOps.l1Sims(row, VecOps.flatten(tv), from, out)
+  test("property: L1Targets.sims scores have manhattanSim's bits") {
+    checkProp(Prop.forAll(genTargets, Gen.long) { case ((row, tv), seed) =>
+      val cand = new scala.util.Random(seed).shuffle(tv.indices.toVector).take(tv.length / 2 + 1)
+      val out = new Array[Double](cand.length)
+      L1Targets(tv, Array(row)).sims(row, cand.toArray, out)
       out.toSeq.map(java.lang.Double.doubleToRawLongBits) ==
-        tv.toSeq.drop(from).map(t => java.lang.Double.doubleToRawLongBits(VecOps.manhattanSim(row, t)))
+        cand.map(t => java.lang.Double.doubleToRawLongBits(VecOps.manhattanSim(row, tv(t))))
     }, minSuccessful = 200)
   }
 
   test("property: l1TopK equals the boxed-heap SENS row loop (indices and score bits)") {
     // n is often not a multiple of 4 and often <= k
     checkProp(Prop.forAll(genTargets, Gen.oneOf(Gen.choose(1, 30), Gen.choose(500, 700)), Gen.choose(1, 5)) { case ((row, tv), k, segments) =>
-      val (idx, sc) = VecOps.l1TopK(row, VecOps.flatten(tv), k)
+      val (idx, sc) = VecOps.l1TopK(row, L1Targets(tv, Array(row)), k)
       bits(idx.toSeq.zip(sc.toSeq)) == bits(repro.ReferenceKernels.sensRow(row, tv, k, segments).toSeq)
     }, minSuccessful = 300)
+  }
+
+  /** Test cases for the filter bound: (row, targets, the rows the targets
+    * are quantized for).
+    */
+  private type BoundCase = (Array[Float], Array[Array[Float]], Array[Array[Float]])
+
+  /** Targets one or two float ulps apart, so the k-th best distance has
+    * near-ties the filter must not cut, at dims up to 200 and magnitudes up
+    * to 1e6, plus values that force the exact path: ±Inf or NaN in a
+    * target, and a row far past the scale (it is not among the rows the
+    * targets were quantized for).
+    */
+  private val genUlps: Gen[BoundCase] = for {
+    dim   <- Gen.oneOf(Gen.choose(1, 8), Gen.choose(60, 200))
+    mag   <- Gen.oneOf(1e-3f, 1f, 1e3f, 1e6f)
+    pool  <- Gen.listOfN(3, Gen.listOfN(dim, Gen.choose(-1f, 1f)).map(_.map(_ * mag).toArray))
+    n     <- Gen.choose(1, 60)
+    picks <- Gen.listOfN(n, Gen.zip(Gen.choose(0, 2), Gen.choose(0, dim - 1), Gen.choose(-2, 2)))
+    odd   <- Gen.oneOf(0, 1, 2, 3, 4) // 0-2: none; 3: a non-finite target; 4: a row past the scale
+    bad   <- Gen.oneOf(Float.PositiveInfinity, Float.NegativeInfinity, Float.NaN, 3e38f)
+    at    <- Gen.choose(0, n - 1)
+  } yield {
+    val tv = picks.map { case (p, d, ulps) =>
+      val v = pool(p).clone()
+      for (_ <- 0 until ulps.abs) v(d) = if (ulps > 0) Math.nextUp(v(d)) else Math.nextDown(v(d))
+      v
+    }.toArray
+    if (odd == 3) tv(at)(at % dim) = bad
+    val row = pool(at % 3).map(x => if (odd == 4) x * 1e7f else Math.nextUp(x))
+    (row, tv, if (odd == 4) Array.empty else Array(row))
+  }
+
+  /** Values one float ulp either side of a rounding half-point of the
+    * `Int` copy, so each value's `q` is off by almost 1/2, and the filter
+    * value of a target can sit almost `dim` above or below `S` times its
+    * distance: the bound's worst case. A target value is the row's grid
+    * point or one step above or below it. A "pulled" target rounds every
+    * value one step towards the row (filter value 0, `S·D ≈ dim`); a
+    * "pushed" one rounds every value one step away from it, `z` of them at
+    * the row's own grid point (filter value `2·dim − z`, `S·D ≈ dim − z`),
+    * so it is nearer than a pulled target whose filter value is far lower.
+    * Other targets are random. In half the cases value 0 is anywhere within
+    * 1.5 grid steps of the row's, so distances also differ by fractions of
+    * a step. The targets are quantized for the row and a vector of ones, so
+    * the largest value is 1 and `S` is the largest power of two
+    * `<= (2³¹ − 1) / (2·dim)`.
+    */
+  private val genHalfPoints: Gen[BoundCase] = for {
+    dim   <- Gen.choose(1, 8)
+    n     <- Gen.choose(1, 60)
+    row   <- Gen.listOfN(dim, Gen.zip(Gen.choose(-3, 3), Gen.oneOf(true, false)))
+    modes <- Gen.listOfN(n, Gen.zip(Gen.oneOf("pulled", "pushed", "random"), Gen.choose(0, dim)))
+    rnd   <- Gen.listOfN(n, Gen.listOfN(dim, Gen.zip(Gen.choose(-1, 1), Gen.oneOf(true, false))))
+    free  <- Gen.oneOf(true, false)
+    off   <- Gen.listOfN(n, Gen.choose(-1.5, 1.5))
+  } yield {
+    val s = math.scalb(1.0, math.getExponent((Int.MaxValue / (2 * dim)).toDouble))
+    def half(j: Int, up: Boolean) = { val x = ((j + 0.5) / s).toFloat; if (up) Math.nextUp(x) else Math.nextDown(x) }
+    val r = row.map { case (j, up) => half(j, up) }.toArray
+    val targets = modes.zip(rnd).zip(off).map { case (((mode, z), steps), o) =>
+      val t = row.zip(steps).zipWithIndex.map { case (((j, up), (step, upT)), d) => mode match {
+        case "pulled" => half(if (up) j + 1 else j - 1, !up)          // q equals the row's
+        case "pushed" if d < z => half(j, !up)                        // q one off, D ≈ 0
+        case "pushed" => half(if (up) j - 1 else j + 1, up)           // q two off, D ≈ one step
+        case _ => half(j + step, upT)
+      } }.toArray
+      if (free) t(0) = (r(0) + o / s).toFloat
+      t
+    }.toArray
+    (r, targets, Array(r, Array.fill(dim)(1f)))
+  }
+
+  test("property: l1TopK is exact at the filter bound (near ties, half-point rounding, large magnitudes, non-finite values)") {
+    checkProp(Prop.forAll(Gen.oneOf(genUlps, genHalfPoints), Gen.choose(1, 20)) { case ((row, tv, quantizedFor), k) =>
+      val (idx, sc) = VecOps.l1TopK(row, L1Targets(tv, quantizedFor), k)
+      val got = bits(idx.toSeq.zip(sc.toSeq))
+      // NaN scores order differently in the boxed reference, so there the
+      // reference is every target offered to a TopK
+      if (tv.exists(_.exists(_.isNaN))) {
+        val top = new TopK(k)
+        tv.indices.foreach(t => top.offer(VecOps.manhattanSim(row, tv(t)), t))
+        val (ri, rs) = top.result()
+        got == bits(ri.toSeq.zip(rs.toSeq))
+      } else got == bits(repro.ReferenceKernels.sensRow(row, tv, k).toSeq)
+    }, minSuccessful = 1000)
+  }
+
+  test("the filter rescores under 10 % of 2,000 x 2,000 unit-norm 64-dim rows at k = 50") {
+    def vecs(n: Int, salt: Long) = Array.tabulate(n)(i => VecOps.normalize(VecOps.hashGaussian(salt + i, 64)))
+    val (src, tgt) = (vecs(2000, 1), vecs(2000, 1 << 20))
+    val targets = L1Targets(tgt, src)
+    var rescored = 0L
+    src.indices.foreach { i =>
+      val top = new TopK(50)
+      rescored += VecOps.l1Scan(src(i), targets, top)
+      if (i % 100 == 0) {
+        val (idx, sc) = top.result()
+        assert(bits(idx.toSeq.zip(sc.toSeq)) == bits(repro.ReferenceKernels.sensRow(src(i), tgt, 50).toSeq))
+      }
+    }
+    val share = rescored.toDouble / (2000L * 2000)
+    info(f"rescored ${share * 100}%.2f %% of targets")
+    assert(share < 0.10)
   }
 }

@@ -116,4 +116,28 @@ class StructChannelSpec extends SparkSpec with PropHelper {
         ReferenceKernels.mutualNN(hs, ht, set(skipS), set(skipT)).toSeq
     }, minSuccessful = 300)
   }
+  test("property: mutualNN equals the two-pass reference at dims 48-192 with tied vectors") {
+    // RREA's dims; a pool of vectors plus copies one float ulp off, so
+    // row and column argmaxes often tie or nearly tie
+    val gen = for {
+      dim   <- Gen.choose(48, 192)
+      pool  <- Gen.listOfN(4, Gen.listOfN(dim, Gen.choose(-0.2f, 0.2f)).map(_.toArray))
+      nS    <- Gen.choose(1, 25)
+      nT    <- Gen.choose(1, 25)
+      pickS <- Gen.listOfN(nS, Gen.zip(Gen.choose(0, 3), Gen.choose(0, dim - 1), Gen.oneOf(0, 0, 1)))
+      pickT <- Gen.listOfN(nT, Gen.zip(Gen.choose(0, 3), Gen.choose(0, dim - 1), Gen.oneOf(0, 0, 1)))
+      skipS <- Gen.listOfN(nS, Gen.prob(0.2))
+      skipT <- Gen.listOfN(nT, Gen.prob(0.2))
+    } yield {
+      def vecs(picks: List[(Int, Int, Int)]) = picks.map { case (p, d, ulp) =>
+        val v = pool(p).clone(); if (ulp == 1) v(d) = Math.nextUp(v(d)); v
+      }.toArray
+      (vecs(pickS), vecs(pickT), skipS.toArray, skipT.toArray)
+    }
+    checkProp(Prop.forAll(gen) { case (hs, ht, skipS, skipT) =>
+      def set(mask: Array[Boolean]) = mask.indices.filter(mask).toSet
+      StructChannel.mutualNN(hs, ht, skipS, skipT).toSeq ==
+        ReferenceKernels.mutualNN(hs, ht, set(skipS), set(skipT)).toSeq
+    }, minSuccessful = 300)
+  }
 }
