@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.SparkSession
 import repro.embed.{PseudoBert, VecOps}
 import repro.eval.{EaScores, Metrics}
-import repro.kg.EaDataset
+import repro.kg.{EaDataset, KG}
 import repro.name.{Sens, Stns}
 import repro.sim.SimMatrix
 import repro.structure.{GnnEA, StructChannel}
@@ -19,6 +19,11 @@ object Baselines {
 
   final case class RunResult(scores: EaScores, seconds: Double)
 
+  private val TopK = 50          // similarity cells kept per source entity (the paper's φ)
+  private val BertIntTopK = 150  // BERT-INT's coarse candidates, re-scored by interaction
+  private val RdgcnLayers = 2
+  private val RdgcnSelfWeight = 2.0f // RDGCN-lite's weight of a vertex's own vector
+
   private def timeIt[T](f: => T): (T, Double) = {
     val t0 = System.nanoTime()
     val r = f
@@ -29,87 +34,62 @@ object Baselines {
     * shared by GCN-Align and RREA.
     */
   private def fullGraphStructure(
-      spark: SparkSession, ds: EaDataset, cfg: GnnEA.Config, topK: Int): SimMatrix = {
+      spark: SparkSession, ds: EaDataset, cfg: GnnEA.Config): SimMatrix = {
     val nS = ds.source.numEntities.toInt
     val nT = ds.target.numEntities.toInt
     val whole = MiniBatches(1, Array.fill(nS)(0), Array.fill(nT)(0))
-    StructChannel.computeMs(spark, ds, whole, ds.trainPairs, cfg, topK)
+    StructChannel.computeMs(spark, ds, whole, ds.trainPairs, cfg, TopK)
   }
 
   /** GCN-Align (Wang et al. 2018): vanilla GCN over the full graph,
     * structure features only (the variant LargeEA-G builds on).
     */
-  def gcnAlign(spark: SparkSession, ds: EaDataset, topK: Int = 50): RunResult = {
-    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Gcn, topK))
+  def gcnAlign(spark: SparkSession, ds: EaDataset): RunResult = {
+    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Gcn))
     RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
   /** RREA (Mao et al. 2020): relational-reflection GNN over the full graph,
     * structure features only (the variant LargeEA-R builds on).
     */
-  def rrea(spark: SparkSession, ds: EaDataset, topK: Int = 50): RunResult = {
-    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Rrea, topK))
+  def rrea(spark: SparkSession, ds: EaDataset): RunResult = {
+    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Rrea))
     RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
   /** MultiKE (Zhang et al. 2019): multi-view model — a name view and a
     * structure view combined with equal weights. No string channel, no DA.
     */
-  def multiKe(spark: SparkSession, ds: EaDataset, topK: Int = 50, dim: Int = 64): RunResult = {
+  def multiKe(spark: SparkSession, ds: EaDataset): RunResult = {
     val (sim, sec) = timeIt {
-      val bert = new PseudoBert(ds.lexicon, dim)
+      val bert = new PseudoBert(ds.lexicon)
       val mse = Sens.similarity(spark, bert.embedAll(ds.source.namesArray),
-                                bert.embedAll(ds.target.namesArray), topK)
-      fullGraphStructure(spark, ds, GnnEA.Gcn, topK).plus(mse)
+                                bert.embedAll(ds.target.namesArray), TopK)
+      fullGraphStructure(spark, ds, GnnEA.Gcn).plus(mse)
     }
     RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
   /** RDGCN (Wu et al. 2019): entity embeddings *initialized from names*,
     * then refined by graph convolution. Lite version: layer-0 features are
-    * pseudo-BERT name embeddings instead of seed anchors; propagation and
-    * Manhattan scoring as in the shared GNN substrate.
+    * pseudo-BERT name embeddings instead of seed anchors; each layer is the
+    * shared GNN step `GnnEA.layer`, unit-normalized, with plain degree
+    * weights 1/√(d_h·d_t); Manhattan scoring as in SENS.
     */
-  def rdgcn(spark: SparkSession, ds: EaDataset, topK: Int = 50, dim: Int = 64,
-            layers: Int = 2, selfWeight: Float = 2.0f): RunResult = {
+  def rdgcn(spark: SparkSession, ds: EaDataset): RunResult = {
     val (sim, sec) = timeIt {
-      val bert = new PseudoBert(ds.lexicon, dim)
-      val srcH = propagateNameInit(ds, bert, isSource = true, layers, selfWeight)
-      val tgtH = propagateNameInit(ds, bert, isSource = false, layers, selfWeight)
-      Sens.similarity(spark, srcH, tgtH, topK)
+      val bert = new PseudoBert(ds.lexicon)
+      def embed(kg: KG) = rdgcnPropagate(bert.embedAll(kg.namesArray), kg.triplesArray)
+      Sens.similarity(spark, embed(ds.source), embed(ds.target), TopK)
     }
     RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
-  /** name-initialized propagation used by RDGCN-lite. */
-  private def propagateNameInit(
-      ds: EaDataset, bert: PseudoBert, isSource: Boolean,
-      layers: Int, selfWeight: Float): Array[Array[Float]] = {
-    val kg = if (isSource) ds.source else ds.target
-    val n = kg.numEntities.toInt
-    val triples = kg.triplesArray
-    var h = kg.namesArray.map(bert.embed)
-    val deg = new Array[Int](n)
-    triples.foreach { case (a, _, b) => if (a != b) { deg(a) += 1; deg(b) += 1 } }
-    var l = 0
-    while (l < layers) {
-      val next = Array.tabulate(n) { e =>
-        val acc = new Array[Float](h(e).length)
-        VecOps.axpy(acc, selfWeight, h(e))
-        acc
-      }
-      triples.foreach { case (a, _, b) =>
-        if (a != b) {
-          val w = (1.0 / math.sqrt(math.max(1, deg(a)).toDouble * math.max(1, deg(b)))).toFloat
-          VecOps.axpy(next(a), w, h(b))
-          VecOps.axpy(next(b), w, h(a))
-        }
-      }
-      next.foreach(VecOps.normalize(_))
-      h = next
-      l += 1
-    }
-    h
+  /** RDGCN-lite's layers over one KG, from the name embeddings `h0`. */
+  private[baselines] def rdgcnPropagate(
+      h0: Array[Array[Float]], triples: Array[(Int, Int, Int)]): Array[Array[Float]] = {
+    val adj = GnnEA.Adjacency(h0.length, triples)((_, norm) => (1.0 / norm).toFloat)
+    (1 to RdgcnLayers).foldLeft(h0)((h, _) => GnnEA.layer(adj, h, RdgcnSelfWeight).map(VecOps.normalize(_)))
   }
 
   /** BERT-INT (Tang et al. 2020): name/side-information only, no graph
@@ -120,12 +100,12 @@ object Baselines {
     * pass over candidates is what makes it both the accuracy leader and
     * the most expensive name-based method.
     */
-  def bertInt(spark: SparkSession, ds: EaDataset, topK: Int = 150, dim: Int = 64): RunResult = {
+  def bertInt(spark: SparkSession, ds: EaDataset): RunResult = {
     val (sim, sec) = timeIt {
-      val bert = new PseudoBert(ds.lexicon, dim)
+      val bert = new PseudoBert(ds.lexicon)
       val srcNames = ds.source.namesArray
       val tgtNames = ds.target.namesArray
-      val coarse = Sens.similarity(spark, bert.embedAll(srcNames), bert.embedAll(tgtNames), topK)
+      val coarse = Sens.similarity(spark, bert.embedAll(srcNames), bert.embedAll(tgtNames), BertIntTopK)
 
       val sc = spark.sparkContext
       val bcBert = sc.broadcast(bert)

@@ -25,16 +25,14 @@ object Nff {
       ds: EaDataset,
       phi: Int = 50,
       theta: Double = 0.5,
-      gamma: Double = 0.05,
-      segments: Int = 4,
-      dim: Int = 64): Result = {
+      gamma: Double = 0.05): Result = {
     val srcNames = ds.source.namesArray
     val tgtNames = ds.target.namesArray
-    val bert = new PseudoBert(ds.lexicon, dim)
+    val bert = new PseudoBert(ds.lexicon)
     val srcVecs = bert.embedAll(srcNames)
     val tgtVecs = bert.embedAll(tgtNames)
 
-    val mse = Sens.similarity(spark, srcVecs, tgtVecs, phi, segments)
+    val mse = Sens.similarity(spark, srcVecs, tgtVecs, phi)
     val mst = Stns.similarity(spark, srcNames, tgtNames, theta)
     val mn  = mse.plus(mst, gamma)
     Result(mse, mst, mn)

@@ -15,6 +15,7 @@ object Vps extends PartitionStrategy {
 
   override def partition(
       ds: EaDataset, k: Int, seeds: Array[(Long, Long)], seed: Long): MiniBatches = {
+    require(k >= 1, s"k must be >= 1, got $k")
     val nS = ds.source.numEntities.toInt
     val nT = ds.target.numEntities.toInt
     val rnd = new Random(seed)

@@ -1,7 +1,6 @@
 package repro.structure
 
 import repro.embed.VecOps
-import scala.collection.mutable
 
 /** Training-free GNN-style EA embeddings (structure channel model).
   *
@@ -11,7 +10,7 @@ import scala.collection.mutable
   * aggregation propagate the anchors through each KG independently:
   *
   *   h⁰(e)   = anchor(e) + ε·noise(e)
-  *   hˡ(e)   = normalize( α·hˡ⁻¹(e) + Σ_{(e,r,u)} w_r/√(d_e·d_u) · hˡ⁻¹(u) )
+  *   hˡ(e)   = cap( α·hˡ⁻¹(e) + Σ_{(e,r,u)} w_r/√(d_e·d_u) · hˡ⁻¹(u) )
   *   final e = normalize( concat(h⁰(e) … h^L(e)) )      (RREA-style)
   *
   * Equivalent entities whose neighbourhoods contain the same seeds end up
@@ -22,119 +21,127 @@ import scala.collection.mutable
   *    layer only (vanilla GCN has no relation modelling / no concat);
   *  - RREA: 3 layers, inverse-log relation-frequency weights (a cheap
   *    stand-in for relational reflection) and layer concatenation.
+  *
+  * `Adjacency` and `layer` are the one graph-propagation substrate of the
+  * program: RDGCN-lite (`repro.baselines.Baselines.rdgcn`) runs on them too.
   */
 object GnnEA {
+
+  /** Embedding width of every layer. */
+  val Dim = 48
+  /** α, the weight of a vertex's own previous-layer vector. */
+  private val SelfWeight = 1.0f
+  /** ε, the scale of the per-side noise in layer 0. */
+  private val NoiseEps = 0.02f
 
   /** Model configuration. */
   final case class Config(
       name: String,
-      dim: Int,
       layers: Int,
       relWeighted: Boolean,
       concatLayers: Boolean,
-      bootstrapRounds: Int = 0, // self-training: mutual-NN pairs → new anchors
-      selfWeight: Float = 1.0f,
-      noiseEps: Float = 0.02f)
+      bootstrapRounds: Int = 0) // self-training: mutual-NN pairs → new anchors
 
   /** The GCN-Align-like variant. */
-  val Gcn: Config = Config("GCN", dim = 48, layers = 2, relWeighted = false, concatLayers = false)
+  val Gcn: Config = Config("GCN", layers = 2, relWeighted = false, concatLayers = false)
 
   /** The RREA-like variant (stronger: more hops, relation weighting,
-    * multi-scale concat, one bootstrap round — RREA trains iteratively
+    * multi-scale concat, two bootstrap rounds — RREA trains iteratively
     * with self-sampled pairs).
     */
-  val Rrea: Config = Config("RREA", dim = 48, layers = 3, relWeighted = true,
+  val Rrea: Config = Config("RREA", layers = 3, relWeighted = true,
     concatLayers = true, bootstrapRounds = 2)
+
+  /** An undirected weighted graph in CSR form: the neighbours of vertex `e`
+    * are `nbr(ptr(e) until ptr(e + 1))`, with edge weights `w` alongside.
+    */
+  final class Adjacency private (val ptr: Array[Int], val nbr: Array[Int], val w: Array[Float]) {
+    def n: Int = ptr.length - 1
+  }
+
+  object Adjacency {
+
+    /** The adjacency of `n` vertices over the triples (h, r, t), each taken
+      * in both directions. Self-loops are dropped; a vertex's neighbours are
+      * in triple order. An edge weighs `weight(r, √(d_h·d_t))`, with d the
+      * vertex degrees without self-loops.
+      */
+    def apply(n: Int, triples: Array[(Int, Int, Int)])(weight: (Int, Double) => Float): Adjacency = {
+      val deg = new Array[Int](n)
+      triples.foreach { case (h, _, t) => if (h != t) { deg(h) += 1; deg(t) += 1 } }
+      val ptr = deg.scanLeft(0)(_ + _)
+      val fill = ptr.clone() // next free slot per vertex
+      val nbr = new Array[Int](ptr(n))
+      val w = new Array[Float](ptr(n))
+      triples.foreach { case (h, r, t) =>
+        if (h != t) {
+          val x = weight(r, math.sqrt(deg(h).toDouble * deg(t)))
+          nbr(fill(h)) = t; w(fill(h)) = x; fill(h) += 1
+          nbr(fill(t)) = h; w(fill(t)) = x; fill(t) += 1
+        }
+      }
+      new Adjacency(ptr, nbr, w)
+    }
+  }
+
+  /** The model's adjacency for one KG (or subgraph) with local ids
+    * 0..n-1: edge weight w_r/√(d_h·d_t), where w_r = 1/ln(2 + |r|) for a
+    * relation-weighted model (|r| the triples of relation r, self-loops
+    * included) and 1 otherwise.
+    */
+  def adjacency(n: Int, triples: Array[(Int, Int, Int)], cfg: Config): Adjacency = {
+    val relFreq = triples.groupMapReduce(_._2)(_ => 1)(_ + _)
+    Adjacency(n, triples) { (r, norm) =>
+      (if (cfg.relWeighted) (1.0 / math.log(2.0 + relFreq(r))).toFloat else 1.0f) / norm.toFloat
+    }
+  }
+
+  /** One propagation step: `selfWeight·h(e) + Σ w·h(u)` over the
+    * neighbours u of each vertex e, summed in neighbour order.
+    */
+  def layer(adj: Adjacency, h: Array[Array[Float]], selfWeight: Float): Array[Array[Float]] =
+    Array.tabulate(adj.n) { e =>
+      val acc = new Array[Float](h(e).length)
+      VecOps.axpy(acc, selfWeight, h(e))
+      var j = adj.ptr(e)
+      while (j < adj.ptr(e + 1)) { VecOps.axpy(acc, adj.w(j), h(adj.nbr(j))); j += 1 }
+      acc
+    }
 
   /** Compute embeddings for one KG (or subgraph).
     *
-    * @param n        entity count; entity ids are 0..n-1 (local)
-    * @param triples  (h, r, t) with local ids
+    * @param adj      the graph, from `adjacency` with the same `cfg`
     * @param anchors  local entity id -> shared anchor seed (same value on
-    *                 both sides of a seed pair); entities without a seed
-    *                 are absent
+    *                 both sides of a seed pair), or -1 for an entity
+    *                 without a seed
     * @param sideSalt distinct per side so the ε-noise is uncorrelated
     */
-  def embed(
-      n: Int,
-      triples: Array[(Int, Int, Int)],
-      anchors: Map[Int, Long],
-      cfg: Config,
-      sideSalt: Long): Array[Array[Float]] = {
-
-    // ---- adjacency with relation weights (undirected propagation) --------
-    val relFreq = mutable.LongMap.empty[Int]
-    triples.foreach { case (_, r, _) => relFreq(r.toLong) = relFreq.getOrElse(r.toLong, 0) + 1 }
-    def relW(r: Int): Float =
-      if (cfg.relWeighted) (1.0 / math.log(2.0 + relFreq(r.toLong))).toFloat else 1.0f
-
-    val deg = new Array[Int](n)
-    triples.foreach { case (h, _, t) => if (h != t) { deg(h) += 1; deg(t) += 1 } }
-
-    val adjN = Array.fill(n)(new mutable.ArrayBuffer[Int]())
-    val adjW = Array.fill(n)(new mutable.ArrayBuffer[Float]())
-    triples.foreach { case (h, r, t) =>
-      if (h != t) {
-        val w = relW(r) / math.sqrt(math.max(1, deg(h)).toDouble * math.max(1, deg(t))).toFloat
-        adjN(h) += t; adjW(h) += w
-        adjN(t) += h; adjW(t) += w
-      }
-    }
-
+  def embed(adj: Adjacency, anchors: Array[Long], cfg: Config, sideSalt: Long): Array[Array[Float]] = {
     // ---- layer 0: anchors + tiny deterministic noise ----------------------
     // Seeded entities start at their (unit-norm) shared anchor; unseeded
     // entities start at ε-scale noise. Normalizing the unseeded vectors
     // here would inflate the noise to the anchors' magnitude and drown the
     // alignment signal — only the seeded vectors are re-normalized.
-    var h = Array.tabulate(n) { e =>
-      val noise = VecOps.hashGaussian(sideSalt ^ (e * 0x7f4a7c15L + 0x1234), cfg.dim)
-      anchors.get(e) match {
-        case Some(seedId) =>
-          val v = VecOps.hashGaussian(0x51ed270b ^ seedId * 0x9e3779b9L, cfg.dim)
-          VecOps.axpy(v, cfg.noiseEps, noise)
-          VecOps.normalize(v)
-        case None =>
-          VecOps.normalize(noise)
-          noise.map(x => x * cfg.noiseEps)
+    val h0 = Array.tabulate(adj.n) { e =>
+      val noise = VecOps.hashGaussian(sideSalt ^ (e * 0x7f4a7c15L + 0x1234), Dim)
+      if (anchors(e) >= 0) {
+        val v = VecOps.hashGaussian(0x51ed270b ^ anchors(e) * 0x9e3779b9L, Dim)
+        VecOps.axpy(v, NoiseEps, noise)
+        VecOps.normalize(v)
+      } else {
+        VecOps.normalize(noise)
+        noise.map(x => x * NoiseEps)
       }
     }
-    val layerOutputs = mutable.ArrayBuffer[Array[Array[Float]]]()
-    if (cfg.concatLayers) layerOutputs += h
 
-    // ---- propagation -------------------------------------------------------
-    var l = 0
-    while (l < cfg.layers) {
-      val next = new Array[Array[Float]](n)
-      var e = 0
-      while (e < n) {
-        val acc = new Array[Float](cfg.dim)
-        VecOps.axpy(acc, cfg.selfWeight, h(e))
-        val ns = adjN(e); val ws = adjW(e)
-        var j = 0
-        while (j < ns.length) { VecOps.axpy(acc, ws(j), h(ns(j))); j += 1 }
-        // cap, don't normalize: inflating a weak-signal vector to unit norm
-        // would turn noise into (fake) signal for the next hop
-        next(e) = VecOps.capNorm(acc)
-        e += 1
-      }
-      h = next
-      if (cfg.concatLayers) layerOutputs += h
-      l += 1
-    }
+    // ---- propagation: h⁰ … h^L ----------------------------------------------
+    // cap, don't normalize: inflating a weak-signal vector to unit norm
+    // would turn noise into (fake) signal for the next hop
+    val hs = Iterator.iterate(h0)(h => layer(adj, h, SelfWeight).map(VecOps.capNorm(_)))
+      .take(cfg.layers + 1).toArray
 
     // ---- output: concat layers (RREA) or final layer (GCN), unit-norm ----
-    if (!cfg.concatLayers) h.map(v => VecOps.normalize(v.clone()))
-    else {
-      val parts = layerOutputs.toArray
-      Array.tabulate(n) { e =>
-        val out = new Array[Float](cfg.dim * parts.length)
-        var p = 0
-        while (p < parts.length) {
-          System.arraycopy(parts(p)(e), 0, out, p * cfg.dim, cfg.dim)
-          p += 1
-        }
-        VecOps.normalize(out)
-      }
-    }
+    if (cfg.concatLayers) Array.tabulate(adj.n)(e => VecOps.normalize(VecOps.flatten(hs.map(_(e)))))
+    else hs.last.map(VecOps.normalize(_))
   }
 }

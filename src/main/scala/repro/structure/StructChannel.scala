@@ -133,36 +133,36 @@ object StructChannel {
       case (h, r, t) if tgtLocal(h) >= 0 && tgtLocal(t) >= 0 => (tgtLocal(h), r, tgtLocal(t))
     }
 
+    // each side's graph is built once and serves every bootstrap round
+    val srcAdj = GnnEA.adjacency(srcIds.length, sT, cfg)
+    val tgtAdj = GnnEA.adjacency(tgtIds.length, tT, cfg)
+
     // seeds fully inside the batch anchor the two sides to a shared space;
-    // the anchor seed id is the pair's index in ψ′, identical on both sides
-    val srcAnchors = scala.collection.mutable.Map[Int, Long]()
-    val tgtAnchors = scala.collection.mutable.Map[Int, Long]()
-    seeds.zipWithIndex.foreach { case ((s, t), i) =>
-      val si = s.toInt; val ti = t.toInt
-      if (srcLocal(si) >= 0 && tgtLocal(ti) >= 0) {
-        srcAnchors(srcLocal(si)) = i.toLong
-        tgtAnchors(tgtLocal(ti)) = i.toLong
-      }
+    // the anchor seed id is the pair's index in ψ′, identical on both sides,
+    // and -1 marks an entity without one
+    val srcAnchors = Array.fill(srcIds.length)(-1L)
+    val tgtAnchors = Array.fill(tgtIds.length)(-1L)
+    for (((s, t), i) <- seeds.zipWithIndex if srcLocal(s.toInt) >= 0 && tgtLocal(t.toInt) >= 0) {
+      srcAnchors(srcLocal(s.toInt)) = i
+      tgtAnchors(tgtLocal(t.toInt)) = i
     }
 
-    var hs = GnnEA.embed(srcIds.length, sT, srcAnchors.toMap, cfg, sideSalt = 0xAAAA + b)
-    var ht = GnnEA.embed(tgtIds.length, tT, tgtAnchors.toMap, cfg, sideSalt = 0xBBBB + b)
+    def embedSrc() = GnnEA.embed(srcAdj, srcAnchors, cfg, sideSalt = 0xAAAA + b)
+    def embedTgt() = GnnEA.embed(tgtAdj, tgtAnchors, cfg, sideSalt = 0xBBBB + b)
+    var hs = embedSrc()
+    var ht = embedTgt()
 
     // Bootstrap self-training (RREA trains iteratively): confident
     // mutual-nearest-neighbour pairs become additional anchors and the
     // propagation is re-run. Anchor ids must not collide with ψ′ indices.
-    var round = 0
-    while (round < cfg.bootstrapRounds) {
-      val newPairs = mutualNN(hs, ht,
-        Array.tabulate(srcIds.length)(srcAnchors.contains), Array.tabulate(tgtIds.length)(tgtAnchors.contains))
-      newPairs.zipWithIndex.foreach { case ((i, j), x) =>
+    for (round <- 0 until cfg.bootstrapRounds) {
+      mutualNN(hs, ht, srcAnchors.map(_ >= 0), tgtAnchors.map(_ >= 0)).zipWithIndex.foreach { case ((i, j), x) =>
         val id = (1L << 32) * (round + 1) + x
         srcAnchors(i) = id
         tgtAnchors(j) = id
       }
-      hs = GnnEA.embed(srcIds.length, sT, srcAnchors.toMap, cfg, sideSalt = 0xAAAA + b)
-      ht = GnnEA.embed(tgtIds.length, tT, tgtAnchors.toMap, cfg, sideSalt = 0xBBBB + b)
-      round += 1
+      hs = embedSrc()
+      ht = embedTgt()
     }
 
     // ---- Manhattan similarity rows, top-k per source ------------------------

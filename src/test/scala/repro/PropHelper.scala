@@ -1,6 +1,6 @@
 package repro
 
-import org.scalacheck.{Prop, Test => SCTest}
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 
 /** Minimal ScalaCheck runner for use inside ScalaTest suites — the
   * scalatestplus bridge artifact is not in the offline cache, so
@@ -14,4 +14,29 @@ trait PropHelper {
     val res = SCTest.check(params, p)
     assert(res.passed, s"property failed: ${res.status}")
   }
+}
+
+/** Random small graphs for the propagation properties. */
+object TestGraphs {
+
+  /** (n, triples) with self-loops, isolated vertices, relation ids repeated
+    * across triples and some edges in both orientations.
+    */
+  val gen: Gen[(Int, Array[(Int, Int, Int)])] = for {
+    n     <- Gen.choose(1, 12)
+    m     <- Gen.choose(0, 30)
+    kinds <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, 2), Gen.choose(0, n - 1), Gen.choose(0, 5)))
+    extra <- Gen.choose(0, 3) // vertices past every triple: isolated
+  } yield {
+    val triples = kinds.flatMap {
+      case (h, r, _, 0) => List((h, r, h))            // a self-loop
+      case (h, r, t, 1) => List((h, r, t), (t, r, h)) // both orientations
+      case (h, r, t, _) => List((h, r, t))
+    }
+    (n + extra, triples.toArray)
+  }
+
+  /** Row by row, the same float bits. */
+  def sameBits(a: Array[Array[Float]], b: Array[Array[Float]]): Boolean =
+    a.length == b.length && a.indices.forall(i => java.util.Arrays.equals(a(i), b(i)))
 }

@@ -1,12 +1,128 @@
 package repro
 
 import repro.embed.VecOps
+import repro.structure.GnnEA
+import scala.collection.mutable
 
-/** The kernels that `VecOps.l1TopK` and the single-pass
-  * `StructChannel.mutualNN` replaced, kept verbatim as references for the
-  * equivalence properties.
+/** The kernels that `VecOps.l1TopK`, the single-pass
+  * `StructChannel.mutualNN` and the shared CSR propagation
+  * (`GnnEA.Adjacency` + `GnnEA.layer`) replaced, kept verbatim as
+  * references for the equivalence properties.
   */
 object ReferenceKernels {
+
+  /** The former `GnnEA.embed`: a boxed per-vertex adjacency built on every
+    * call, gathered over per layer. Verbatim but for the constants that
+    * left `GnnEA.Config` (`dim` = 48, `selfWeight` = 1, `noiseEps` = 0.02).
+    */
+  def gnnEmbed(
+      n: Int,
+      triples: Array[(Int, Int, Int)],
+      anchors: Map[Int, Long],
+      cfg: GnnEA.Config,
+      sideSalt: Long): Array[Array[Float]] = {
+    val dim = 48; val selfWeight = 1.0f; val noiseEps = 0.02f
+
+    // ---- adjacency with relation weights (undirected propagation) --------
+    val relFreq = mutable.LongMap.empty[Int]
+    triples.foreach { case (_, r, _) => relFreq(r.toLong) = relFreq.getOrElse(r.toLong, 0) + 1 }
+    def relW(r: Int): Float =
+      if (cfg.relWeighted) (1.0 / math.log(2.0 + relFreq(r.toLong))).toFloat else 1.0f
+
+    val deg = new Array[Int](n)
+    triples.foreach { case (h, _, t) => if (h != t) { deg(h) += 1; deg(t) += 1 } }
+
+    val adjN = Array.fill(n)(new mutable.ArrayBuffer[Int]())
+    val adjW = Array.fill(n)(new mutable.ArrayBuffer[Float]())
+    triples.foreach { case (h, r, t) =>
+      if (h != t) {
+        val w = relW(r) / math.sqrt(math.max(1, deg(h)).toDouble * math.max(1, deg(t))).toFloat
+        adjN(h) += t; adjW(h) += w
+        adjN(t) += h; adjW(t) += w
+      }
+    }
+
+    // ---- layer 0: anchors + tiny deterministic noise ----------------------
+    var h = Array.tabulate(n) { e =>
+      val noise = VecOps.hashGaussian(sideSalt ^ (e * 0x7f4a7c15L + 0x1234), dim)
+      anchors.get(e) match {
+        case Some(seedId) =>
+          val v = VecOps.hashGaussian(0x51ed270b ^ seedId * 0x9e3779b9L, dim)
+          VecOps.axpy(v, noiseEps, noise)
+          VecOps.normalize(v)
+        case None =>
+          VecOps.normalize(noise)
+          noise.map(x => x * noiseEps)
+      }
+    }
+    val layerOutputs = mutable.ArrayBuffer[Array[Array[Float]]]()
+    if (cfg.concatLayers) layerOutputs += h
+
+    // ---- propagation -------------------------------------------------------
+    var l = 0
+    while (l < cfg.layers) {
+      val next = new Array[Array[Float]](n)
+      var e = 0
+      while (e < n) {
+        val acc = new Array[Float](dim)
+        VecOps.axpy(acc, selfWeight, h(e))
+        val ns = adjN(e); val ws = adjW(e)
+        var j = 0
+        while (j < ns.length) { VecOps.axpy(acc, ws(j), h(ns(j))); j += 1 }
+        next(e) = VecOps.capNorm(acc)
+        e += 1
+      }
+      h = next
+      if (cfg.concatLayers) layerOutputs += h
+      l += 1
+    }
+
+    // ---- output: concat layers (RREA) or final layer (GCN), unit-norm ----
+    if (!cfg.concatLayers) h.map(v => VecOps.normalize(v.clone()))
+    else {
+      val parts = layerOutputs.toArray
+      Array.tabulate(n) { e =>
+        val out = new Array[Float](dim * parts.length)
+        var p = 0
+        while (p < parts.length) {
+          System.arraycopy(parts(p)(e), 0, out, p * dim, dim)
+          p += 1
+        }
+        VecOps.normalize(out)
+      }
+    }
+  }
+
+  /** The former RDGCN-lite propagation: per layer, a scatter over the
+    * triples from the name-initialized `h0`. Verbatim but for taking the
+    * graph and `h0` directly instead of reading them from a dataset.
+    */
+  def rdgcnPropagate(
+      n: Int, triples: Array[(Int, Int, Int)], h0: Array[Array[Float]],
+      layers: Int, selfWeight: Float): Array[Array[Float]] = {
+    var h = h0
+    val deg = new Array[Int](n)
+    triples.foreach { case (a, _, b) => if (a != b) { deg(a) += 1; deg(b) += 1 } }
+    var l = 0
+    while (l < layers) {
+      val next = Array.tabulate(n) { e =>
+        val acc = new Array[Float](h(e).length)
+        VecOps.axpy(acc, selfWeight, h(e))
+        acc
+      }
+      triples.foreach { case (a, _, b) =>
+        if (a != b) {
+          val w = (1.0 / math.sqrt(math.max(1, deg(a)).toDouble * math.max(1, deg(b)))).toFloat
+          VecOps.axpy(next(a), w, h(b))
+          VecOps.axpy(next(b), w, h(a))
+        }
+      }
+      next.foreach(VecOps.normalize(_))
+      h = next
+      l += 1
+    }
+    h
+  }
 
   /** The former SENS row loop: a boxed `java.util.PriorityQueue` over
     * (sim, tgt), fed segment by segment. Needs k >= 1.

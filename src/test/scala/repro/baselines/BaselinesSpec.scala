@@ -1,12 +1,13 @@
 package repro.baselines
 
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{PropHelper, ReferenceKernels, SparkSpec, TestGraphs}
 import repro.embed.VecOps
 import repro.exp.Datasets
 import repro.kg.KGGen
 
 /** Unit tests for the lite competitor implementations. */
-class BaselinesSpec extends SparkSpec {
+class BaselinesSpec extends SparkSpec with PropHelper {
 
   private lazy val ds = KGGen.generate(spark, Datasets.tiny())
 
@@ -55,5 +56,17 @@ class BaselinesSpec extends SparkSpec {
     val a = Array(VecOps.hashGaussian(1, 8), VecOps.hashGaussian(2, 8))
     val b = Array(VecOps.hashGaussian(3, 8))
     assert(math.abs(Baselines.interaction(a, b) - Baselines.interaction(b, a)) < 1e-12)
+  }
+
+  test("property: RDGCN-lite on the shared layer equals the former triple scatter bit for bit") {
+    val gen = for {
+      graph <- TestGraphs.gen
+      dim   <- Gen.choose(1, 8)
+      h0    <- Gen.listOfN(graph._1, Gen.listOfN(dim, Gen.choose(-1f, 1f)).map(_.toArray))
+    } yield (graph._1, graph._2, h0.toArray)
+    checkProp(Prop.forAll(gen) { case (n, triples, h0) =>
+      TestGraphs.sameBits(Baselines.rdgcnPropagate(h0, triples),
+        ReferenceKernels.rdgcnPropagate(n, triples, h0, layers = 2, selfWeight = 2.0f))
+    }, minSuccessful = 300)
   }
 }

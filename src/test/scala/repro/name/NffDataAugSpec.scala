@@ -29,7 +29,7 @@ class NffDataAugSpec extends SparkSpec {
   }
 
   test("name-only H@1 is strong on the tiny dataset") {
-    val scores = repro.eval.Metrics.evaluate(nff.mn, ds.test)
+    val scores = repro.eval.Metrics.evaluate(nff.mn, ds.testPairs)
     info(s"name-only: ${scores.pretty}")
     assert(scores.hits1 > 0.7)
   }
@@ -76,13 +76,13 @@ class NffDataAugSpec extends SparkSpec {
   }
 
   test("pseudo seeds are 1-to-1") {
-    val p = DataAug.pseudoSeeds(nff.mn).collect().map(r => (r.getLong(0), r.getLong(1)))
+    val p = DataAug.pseudoSeedPairs(nff.mn)
     assert(p.map(_._1).distinct.length == p.length)
     assert(p.map(_._2).distinct.length == p.length)
   }
 
   test("pseudo-seed precision is high (paper reports ~94% on DBP1M)") {
-    val p = DataAug.pseudoSeeds(nff.mn).collect().map(r => (r.getLong(0), r.getLong(1)))
+    val p = DataAug.pseudoSeedPairs(nff.mn)
     val prec = DataAug.precision(p, ds.truthPairs)
     info(f"pseudo seeds: ${p.length}, precision ${prec * 100}%.1f%%")
     assert(prec > 0.85)
@@ -104,7 +104,7 @@ class NffDataAugSpec extends SparkSpec {
   test("unknown entities reduce pseudo-seed count but not much precision") {
     val unk = KGGen.generate(spark, Datasets.tinyWithUnknowns())
     val n = Nff.compute(spark, unk, phi = 10)
-    val p = DataAug.pseudoSeeds(n.mn).collect().map(r => (r.getLong(0), r.getLong(1)))
+    val p = DataAug.pseudoSeedPairs(n.mn)
     val prec = DataAug.precision(p, unk.truthPairs)
     info(f"with unknowns: ${p.length} seeds, precision ${prec * 100}%.1f%%")
     assert(prec > 0.6)

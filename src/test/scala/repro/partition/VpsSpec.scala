@@ -46,6 +46,11 @@ class VpsSpec extends SparkSpec {
     assert(sizes.min > 50 && sizes.max < 180, s"sizes=${sizes.toSeq}")
   }
 
+  test("k < 1 is rejected") {
+    intercept[IllegalArgumentException](Vps.partition(ds, 0, ds.trainPairs, seed = 1))
+    intercept[IllegalArgumentException](Vps.partition(ds, -1, ds.trainPairs, seed = 1))
+  }
+
   test("colocationRate helper math") {
     val b = MiniBatches(2, Array(0, 1, 0), Array(0, 0, 1))
     assert(math.abs(b.colocationRate(Array((0L, 0L), (1L, 1L), (2L, 2L))) - 1.0 / 3) < 1e-12)

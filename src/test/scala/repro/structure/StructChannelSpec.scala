@@ -14,8 +14,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
   test("Ms support is block-diagonal w.r.t. the mini-batches") {
     val batches = MetisCps.partition(ds, 3, ds.trainPairs, seed = 7)
     val ms = StructChannel.computeMs(spark, ds, batches, ds.trainPairs, GnnEA.Gcn, topK = 5)
-    ms.df.collect().foreach { r =>
-      val s = r.getLong(0).toInt; val t = r.getLong(1).toInt
+    ms.cells.foreach { case (s, t, _) =>
       assert(batches.srcPart(s) == batches.tgtPart(t),
         s"cell ($s,$t) crosses batches ${batches.srcPart(s)} vs ${batches.tgtPart(t)}")
     }
@@ -24,7 +23,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
   test("top-k per source entity is respected") {
     val batches = Vps.partition(ds, 2, ds.trainPairs, seed = 7)
     val ms = StructChannel.computeMs(spark, ds, batches, ds.trainPairs, GnnEA.Gcn, topK = 5)
-    val counts = ms.df.groupBy("src").count().collect().map(_.getLong(1))
+    val counts = (0 until ms.numRows).map(s => ms.rowPtr(s + 1) - ms.rowPtr(s))
     assert(counts.forall(_ <= 5))
     assert(ms.nnz == 300 * 5) // every source entity has a row (batches nonempty)
   }
@@ -32,7 +31,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
   test("k=1 (no partition) scores all entities in one block") {
     val whole = MiniBatches(1, Array.fill(300)(0), Array.fill(300)(0))
     val ms = StructChannel.computeMs(spark, ds, whole, ds.trainPairs, GnnEA.Rrea, topK = 10)
-    val scores = repro.eval.Metrics.evaluate(ms, ds.test)
+    val scores = repro.eval.Metrics.evaluate(ms, ds.testPairs)
     info(s"structure-only w/o partition: ${scores.pretty}")
     // training-free propagation is weaker than a gradient-trained RREA in
     // absolute terms (DESIGN.md §2); what matters is a clear signal here
@@ -44,8 +43,8 @@ class StructChannelSpec extends SparkSpec with PropHelper {
     val vps = Vps.partition(ds, 3, ds.trainPairs, seed = 7)
     val mCps = StructChannel.computeMs(spark, ds, cps, ds.trainPairs, GnnEA.Rrea, 10)
     val mVps = StructChannel.computeMs(spark, ds, vps, ds.trainPairs, GnnEA.Rrea, 10)
-    val sCps = repro.eval.Metrics.evaluate(mCps, ds.test)
-    val sVps = repro.eval.Metrics.evaluate(mVps, ds.test)
+    val sCps = repro.eval.Metrics.evaluate(mCps, ds.testPairs)
+    val sVps = repro.eval.Metrics.evaluate(mVps, ds.testPairs)
     info(s"CPS: ${sCps.pretty}  VPS: ${sVps.pretty}")
     assert(sCps.hits1 > sVps.hits1, s"cps=${sCps.hits1} vps=${sVps.hits1}")
   }
@@ -54,9 +53,9 @@ class StructChannelSpec extends SparkSpec with PropHelper {
     val whole = MiniBatches(1, Array.fill(300)(0), Array.fill(300)(0))
     val cps = MetisCps.partition(ds, 3, ds.trainPairs, seed = 7)
     val sWhole = repro.eval.Metrics.evaluate(
-      StructChannel.computeMs(spark, ds, whole, ds.trainPairs, GnnEA.Rrea, 10), ds.test)
+      StructChannel.computeMs(spark, ds, whole, ds.trainPairs, GnnEA.Rrea, 10), ds.testPairs)
     val sCps = repro.eval.Metrics.evaluate(
-      StructChannel.computeMs(spark, ds, cps, ds.trainPairs, GnnEA.Rrea, 10), ds.test)
+      StructChannel.computeMs(spark, ds, cps, ds.trainPairs, GnnEA.Rrea, 10), ds.testPairs)
     info(s"w/o p.: ${sWhole.pretty}  CPS: ${sCps.pretty}")
     assert(sWhole.hits1 >= sCps.hits1)
   }
@@ -64,9 +63,9 @@ class StructChannelSpec extends SparkSpec with PropHelper {
   test("RREA variant beats GCN variant (paper's model ordering)") {
     val cps = MetisCps.partition(ds, 3, ds.trainPairs, seed = 7)
     val r = repro.eval.Metrics.evaluate(
-      StructChannel.computeMs(spark, ds, cps, ds.trainPairs, GnnEA.Rrea, 10), ds.test)
+      StructChannel.computeMs(spark, ds, cps, ds.trainPairs, GnnEA.Rrea, 10), ds.testPairs)
     val g = repro.eval.Metrics.evaluate(
-      StructChannel.computeMs(spark, ds, cps, ds.trainPairs, GnnEA.Gcn, 10), ds.test)
+      StructChannel.computeMs(spark, ds, cps, ds.trainPairs, GnnEA.Gcn, 10), ds.testPairs)
     info(s"RREA: ${r.pretty}  GCN: ${g.pretty}")
     assert(r.hits1 >= g.hits1 - 0.02, s"rrea=${r.hits1} gcn=${g.hits1}")
   }
@@ -77,7 +76,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
     def h1(seeds: Array[(Long, Long)]): Double = {
       val b = MetisCps.partition(ds, 3, seeds, seed = 7)
       repro.eval.Metrics.evaluate(
-        StructChannel.computeMs(spark, ds, b, seeds, GnnEA.Rrea, 10), ds.test).hits1
+        StructChannel.computeMs(spark, ds, b, seeds, GnnEA.Rrea, 10), ds.testPairs).hits1
     }
     val hFew = h1(few); val hMany = h1(many)
     info(s"H@1 few=$hFew many=$hMany")
@@ -87,7 +86,7 @@ class StructChannelSpec extends SparkSpec with PropHelper {
   test("scores are valid similarities in (0,1]") {
     val batches = Vps.partition(ds, 2, ds.trainPairs, seed = 1)
     val ms = StructChannel.computeMs(spark, ds, batches, ds.trainPairs, GnnEA.Gcn, 3)
-    val vals = ms.df.select("score").collect().map(_.getDouble(0))
+    val vals = ms.score
     assert(vals.forall(v => v > 0 && v <= 1.0 + 1e-9))
   }
 
