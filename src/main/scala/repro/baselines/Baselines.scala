@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.SparkSession
 import repro.embed.{PseudoBert, VecOps}
 import repro.eval.{EaScores, Metrics}
-import repro.kg.{EaDataset, KG}
+import repro.kg.{EaDataset, Graph, KG}
 import repro.name.{Sens, Stns}
 import repro.sim.SimMatrix
 import repro.structure.{GnnEA, StructChannel}
@@ -88,7 +88,7 @@ object Baselines {
   /** RDGCN-lite's layers over one KG, from the name embeddings `h0`. */
   private[baselines] def rdgcnPropagate(
       h0: Array[Array[Float]], triples: Array[(Int, Int, Int)]): Array[Array[Float]] = {
-    val adj = GnnEA.Adjacency(h0.length, triples)((_, norm) => (1.0 / norm).toFloat)
+    val adj = Graph.fromTriples(h0.length, triples)((_, norm) => (1.0 / norm).toFloat)
     (1 to RdgcnLayers).foldLeft(h0)((h, _) => GnnEA.layer(adj, h, RdgcnSelfWeight).map(VecOps.normalize(_)))
   }
 

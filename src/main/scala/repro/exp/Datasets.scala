@@ -20,13 +20,12 @@ object Datasets {
 
   final case class Spec(
       key: String,
-      tier: String, // "IDS15K" | "IDS100K" | "DBP1M"
       cfg: KGGen.Config,
       k: Int, // paper's mini-batch count for the tier (5 / 10 / 20)
       represented: MemModel.Scale)
 
   val Ids15kEnFr: Spec = Spec(
-    "IDS15K-EN-FR", "IDS15K",
+    "IDS15K-EN-FR",
     KGGen.Config("IDS15K-EN-FR", "fr",
       nCore = 1500, nSrcExtra = 0, nTgtExtra = 0,
       avgDegBase = 7.2, keepSrc = 0.88, keepTgt = 0.76, privateEdgeFrac = 0.10,
@@ -36,7 +35,7 @@ object Datasets {
     represented = MemModel.Scale(15000, 15000, 47334, 40864))
 
   val Ids15kEnDe: Spec = Spec(
-    "IDS15K-EN-DE", "IDS15K",
+    "IDS15K-EN-DE",
     KGGen.Config("IDS15K-EN-DE", "de",
       nCore = 1500, nSrcExtra = 0, nTgtExtra = 0,
       avgDegBase = 7.4, keepSrc = 0.86, keepTgt = 0.90, privateEdgeFrac = 0.10,
@@ -46,7 +45,7 @@ object Datasets {
     represented = MemModel.Scale(15000, 15000, 47676, 50419))
 
   val Ids100kEnFr: Spec = Spec(
-    "IDS100K-EN-FR", "IDS100K",
+    "IDS100K-EN-FR",
     KGGen.Config("IDS100K-EN-FR", "fr",
       nCore = 5000, nSrcExtra = 0, nTgtExtra = 0,
       avgDegBase = 7.0, keepSrc = 0.89, keepTgt = 0.74, privateEdgeFrac = 0.10,
@@ -56,7 +55,7 @@ object Datasets {
     represented = MemModel.Scale(100000, 100000, 309607, 258285))
 
   val Ids100kEnDe: Spec = Spec(
-    "IDS100K-EN-DE", "IDS100K",
+    "IDS100K-EN-DE",
     KGGen.Config("IDS100K-EN-DE", "de",
       nCore = 5000, nSrcExtra = 0, nTgtExtra = 0,
       avgDegBase = 7.6, keepSrc = 0.88, keepTgt = 0.88, privateEdgeFrac = 0.10,
@@ -66,7 +65,7 @@ object Datasets {
     represented = MemModel.Scale(100000, 100000, 335359, 336240))
 
   val Dbp1mEnFr: Spec = Spec(
-    "DBP1M-EN-FR", "DBP1M",
+    "DBP1M-EN-FR",
     KGGen.Config("DBP1M-EN-FR", "fr",
       nCore = 6500, nSrcExtra = 5500, nTgtExtra = 2500,
       avgDegBase = 6.4, keepSrc = 0.80, keepTgt = 0.42, privateEdgeFrac = 0.18,
@@ -76,7 +75,7 @@ object Datasets {
     represented = MemModel.Scale(1877793, 1365118, 7031172, 2997457))
 
   val Dbp1mEnDe: Spec = Spec(
-    "DBP1M-EN-DE", "DBP1M",
+    "DBP1M-EN-DE",
     KGGen.Config("DBP1M-EN-DE", "de",
       nCore = 5500, nSrcExtra = 4500, nTgtExtra = 1500,
       avgDegBase = 6.6, keepSrc = 0.80, keepTgt = 0.36, privateEdgeFrac = 0.18,

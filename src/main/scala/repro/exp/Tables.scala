@@ -90,12 +90,13 @@ object Tables {
       unsupervised: Boolean = false): Seq[(String, LargeEA.Result)] = {
     val fwd = Datasets.get(spark, spec)
     val rev = fwd.reversed
+    val base = LargeEA.Config(k = spec.k, unsupervised = unsupervised)
 
     def nameArtifacts(ds: EaDataset): (SimMatrix, Double) =
       nameCache.synchronized {
         nameCache.getOrElseUpdate(ds.name, {
           val t0 = System.nanoTime()
-          val mn = Nff.compute(spark, ds).mn
+          val mn = Nff.compute(spark, ds, base.phi, base.theta, base.gamma).mn
           (mn, (System.nanoTime() - t0) / 1e9)
         })
       }
@@ -106,8 +107,7 @@ object Tables {
       (model, tag) <- Seq((GnnEA.Gcn, "G"), (GnnEA.Rrea, "R"))
       (ds, nameC, dir) <- Seq((fwd, nameFwd, "EN->L"), (rev, nameRev, "L->EN"))
     } yield {
-      val cfg = LargeEA.Config(model = model, k = spec.k, unsupervised = unsupervised)
-      (s"LargeEA-$tag $dir", LargeEA.run(spark, ds, cfg, Some(nameC)))
+      (s"LargeEA-$tag $dir", LargeEA.run(spark, ds, base.copy(model = model), Some(nameC)))
     }
   }
 

@@ -23,9 +23,9 @@ object Nff {
   def compute(
       spark: SparkSession,
       ds: EaDataset,
-      phi: Int = 50,
-      theta: Double = 0.5,
-      gamma: Double = 0.05): Result = {
+      phi: Int,
+      theta: Double,
+      gamma: Double): Result = {
     val srcNames = ds.source.namesArray
     val tgtNames = ds.target.namesArray
     val bert = new PseudoBert(ds.lexicon)

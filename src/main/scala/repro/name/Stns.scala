@@ -58,7 +58,7 @@ object Stns {
       spark: SparkSession,
       srcNames: Array[String],
       tgtNames: Array[String],
-      theta: Double = 0.5): SimMatrix = {
+      theta: Double): SimMatrix = {
     // signatures are the costly part (numPerm hashes per shingle): run them in parallel
     val srcSig = srcNames.par.map(Lsh.signature).toArray
     val tgtSig = tgtNames.par.map(Lsh.signature).toArray

@@ -1,6 +1,6 @@
 package repro.partition
 
-import repro.kg.EaDataset
+import repro.kg.{EaDataset, Graph}
 import scala.util.Random
 
 /** METIS-CPS — the METIS-based collaborative partition strategy (§2.2.1).
@@ -39,7 +39,7 @@ object MetisCps extends PartitionStrategy {
     val rnd = new Random(seed)
 
     // -- step 1: METIS on the source KG ------------------------------------
-    val gs = Metis.Graph.fromEdges(nS, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
+    val gs = Graph.fromEdges(nS, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
     val srcPart = Metis.partition(gs, k, seed)
 
     // -- step 2: L_t^i — seed groups on the target side --------------------
@@ -68,7 +68,7 @@ object MetisCps extends PartitionStrategy {
     val virtual = (0 until nT).collect { case m if hubOf(m) >= 0 => (hubOf(m), m, WPrime) }
 
     // -- step 5: METIS on the re-weighted target graph ----------------------
-    val gt = Metis.Graph.fromEdges(nT, reweighted ++ virtual)
+    val gt = Graph.fromEdges(nT, reweighted ++ virtual)
     val tgtRaw = Metis.partition(gt, k, seed + 1)
 
     // -- step 6: pair subgraphs by shared seed count -------------------------

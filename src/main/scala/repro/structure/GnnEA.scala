@@ -1,6 +1,7 @@
 package repro.structure
 
 import repro.embed.VecOps
+import repro.kg.Graph
 
 /** Training-free GNN-style EA embeddings (structure channel model).
   *
@@ -22,8 +23,9 @@ import repro.embed.VecOps
   *  - RREA: 3 layers, inverse-log relation-frequency weights (a cheap
   *    stand-in for relational reflection) and layer concatenation.
   *
-  * `Adjacency` and `layer` are the one graph-propagation substrate of the
-  * program: RDGCN-lite (`repro.baselines.Baselines.rdgcn`) runs on them too.
+  * `layer` over a `Graph` from `Graph.fromTriples` is the one propagation
+  * step of the program: RDGCN-lite (`repro.baselines.Baselines.rdgcn`)
+  * runs on it too.
   */
 object GnnEA {
 
@@ -52,46 +54,14 @@ object GnnEA {
   val Rrea: Config = Config("RREA", layers = 3, relWeighted = true,
     concatLayers = true, bootstrapRounds = 2)
 
-  /** An undirected weighted graph in CSR form: the neighbours of vertex `e`
-    * are `nbr(ptr(e) until ptr(e + 1))`, with edge weights `w` alongside.
-    */
-  final class Adjacency private (val ptr: Array[Int], val nbr: Array[Int], val w: Array[Float]) {
-    def n: Int = ptr.length - 1
-  }
-
-  object Adjacency {
-
-    /** The adjacency of `n` vertices over the triples (h, r, t), each taken
-      * in both directions. Self-loops are dropped; a vertex's neighbours are
-      * in triple order. An edge weighs `weight(r, √(d_h·d_t))`, with d the
-      * vertex degrees without self-loops.
-      */
-    def apply(n: Int, triples: Array[(Int, Int, Int)])(weight: (Int, Double) => Float): Adjacency = {
-      val deg = new Array[Int](n)
-      triples.foreach { case (h, _, t) => if (h != t) { deg(h) += 1; deg(t) += 1 } }
-      val ptr = deg.scanLeft(0)(_ + _)
-      val fill = ptr.clone() // next free slot per vertex
-      val nbr = new Array[Int](ptr(n))
-      val w = new Array[Float](ptr(n))
-      triples.foreach { case (h, r, t) =>
-        if (h != t) {
-          val x = weight(r, math.sqrt(deg(h).toDouble * deg(t)))
-          nbr(fill(h)) = t; w(fill(h)) = x; fill(h) += 1
-          nbr(fill(t)) = h; w(fill(t)) = x; fill(t) += 1
-        }
-      }
-      new Adjacency(ptr, nbr, w)
-    }
-  }
-
   /** The model's adjacency for one KG (or subgraph) with local ids
     * 0..n-1: edge weight w_r/√(d_h·d_t), where w_r = 1/ln(2 + |r|) for a
     * relation-weighted model (|r| the triples of relation r, self-loops
     * included) and 1 otherwise.
     */
-  def adjacency(n: Int, triples: Array[(Int, Int, Int)], cfg: Config): Adjacency = {
+  def adjacency(n: Int, triples: Array[(Int, Int, Int)], cfg: Config): Graph = {
     val relFreq = triples.groupMapReduce(_._2)(_ => 1)(_ + _)
-    Adjacency(n, triples) { (r, norm) =>
+    Graph.fromTriples(n, triples) { (r, norm) =>
       (if (cfg.relWeighted) (1.0 / math.log(2.0 + relFreq(r))).toFloat else 1.0f) / norm.toFloat
     }
   }
@@ -99,39 +69,42 @@ object GnnEA {
   /** One propagation step: `selfWeight·h(e) + Σ w·h(u)` over the
     * neighbours u of each vertex e, summed in neighbour order.
     */
-  def layer(adj: Adjacency, h: Array[Array[Float]], selfWeight: Float): Array[Array[Float]] =
+  def layer(adj: Graph, h: Array[Array[Float]], selfWeight: Float): Array[Array[Float]] =
     Array.tabulate(adj.n) { e =>
       val acc = new Array[Float](h(e).length)
       VecOps.axpy(acc, selfWeight, h(e))
       var j = adj.ptr(e)
-      while (j < adj.ptr(e + 1)) { VecOps.axpy(acc, adj.w(j), h(adj.nbr(j))); j += 1 }
+      while (j < adj.ptr(e + 1)) { VecOps.axpy(acc, adj.w(j).toFloat, h(adj.nbr(j))); j += 1 }
       acc
     }
 
+  /** The layer-0 noise of `n` entities of one side: it depends only on
+    * `sideSalt`, distinct per side so the noise is uncorrelated, and on the
+    * local id, so one draw serves every `embed` of that side.
+    */
+  def noise(n: Int, sideSalt: Long): Array[Array[Float]] =
+    Array.tabulate(n)(e => VecOps.hashGaussian(sideSalt ^ (e * 0x7f4a7c15L + 0x1234), Dim))
+
   /** Compute embeddings for one KG (or subgraph).
     *
-    * @param adj      the graph, from `adjacency` with the same `cfg`
-    * @param anchors  local entity id -> shared anchor seed (same value on
-    *                 both sides of a seed pair), or -1 for an entity
-    *                 without a seed
-    * @param sideSalt distinct per side so the ε-noise is uncorrelated
+    * @param adj     the graph, from `adjacency` with the same `cfg`
+    * @param anchors local entity id -> shared anchor seed (same value on
+    *                both sides of a seed pair), or -1 for an entity
+    *                without a seed
+    * @param noise   the side's layer-0 noise, from `noise`; not modified
     */
-  def embed(adj: Adjacency, anchors: Array[Long], cfg: Config, sideSalt: Long): Array[Array[Float]] = {
+  def embed(adj: Graph, anchors: Array[Long], noise: Array[Array[Float]], cfg: Config): Array[Array[Float]] = {
     // ---- layer 0: anchors + tiny deterministic noise ----------------------
     // Seeded entities start at their (unit-norm) shared anchor; unseeded
     // entities start at ε-scale noise. Normalizing the unseeded vectors
     // here would inflate the noise to the anchors' magnitude and drown the
     // alignment signal — only the seeded vectors are re-normalized.
     val h0 = Array.tabulate(adj.n) { e =>
-      val noise = VecOps.hashGaussian(sideSalt ^ (e * 0x7f4a7c15L + 0x1234), Dim)
       if (anchors(e) >= 0) {
         val v = VecOps.hashGaussian(0x51ed270b ^ anchors(e) * 0x9e3779b9L, Dim)
-        VecOps.axpy(v, NoiseEps, noise)
+        VecOps.axpy(v, NoiseEps, noise(e))
         VecOps.normalize(v)
-      } else {
-        VecOps.normalize(noise)
-        noise.map(x => x * NoiseEps)
-      }
+      } else VecOps.normalize(noise(e).clone()).map(x => x * NoiseEps)
     }
 
     // ---- propagation: h⁰ … h^L ----------------------------------------------

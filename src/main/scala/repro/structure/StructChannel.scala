@@ -36,7 +36,7 @@ object StructChannel {
       batches: MiniBatches,
       seeds: Array[(Long, Long)],
       cfg: GnnEA.Config,
-      topK: Int = 50): SimMatrix = {
+      topK: Int): SimMatrix = {
     require(topK >= 0, s"topK must be >= 0, got $topK")
 
     val nS = ds.source.numEntities.toInt
@@ -133,9 +133,12 @@ object StructChannel {
       case (h, r, t) if tgtLocal(h) >= 0 && tgtLocal(t) >= 0 => (tgtLocal(h), r, tgtLocal(t))
     }
 
-    // each side's graph is built once and serves every bootstrap round
+    // each side's graph and layer-0 noise are built once and serve every
+    // bootstrap round
     val srcAdj = GnnEA.adjacency(srcIds.length, sT, cfg)
     val tgtAdj = GnnEA.adjacency(tgtIds.length, tT, cfg)
+    val srcNoise = GnnEA.noise(srcIds.length, sideSalt = 0xAAAA + b)
+    val tgtNoise = GnnEA.noise(tgtIds.length, sideSalt = 0xBBBB + b)
 
     // seeds fully inside the batch anchor the two sides to a shared space;
     // the anchor seed id is the pair's index in ψ′, identical on both sides,
@@ -147,8 +150,8 @@ object StructChannel {
       tgtAnchors(tgtLocal(t.toInt)) = i
     }
 
-    def embedSrc() = GnnEA.embed(srcAdj, srcAnchors, cfg, sideSalt = 0xAAAA + b)
-    def embedTgt() = GnnEA.embed(tgtAdj, tgtAnchors, cfg, sideSalt = 0xBBBB + b)
+    def embedSrc() = GnnEA.embed(srcAdj, srcAnchors, srcNoise, cfg)
+    def embedTgt() = GnnEA.embed(tgtAdj, tgtAnchors, tgtNoise, cfg)
     var hs = embedSrc()
     var ht = embedTgt()
 

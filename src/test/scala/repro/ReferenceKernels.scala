@@ -5,11 +5,43 @@ import repro.structure.GnnEA
 import scala.collection.mutable
 
 /** The kernels that `VecOps.l1TopK`, the single-pass
-  * `StructChannel.mutualNN` and the shared CSR propagation
-  * (`GnnEA.Adjacency` + `GnnEA.layer`) replaced, kept verbatim as
-  * references for the equivalence properties.
+  * `StructChannel.mutualNN`, the shared CSR propagation
+  * (`Graph.fromTriples` + `GnnEA.layer`) and the CSR `Graph.fromEdges`
+  * replaced, kept verbatim as references for the equivalence properties.
   */
 object ReferenceKernels {
+
+  /** The former `Metis.Graph.fromEdges`, which built per-vertex neighbour
+    * and weight arrays. Verbatim but for returning those two arrays instead
+    * of the deleted `Metis.Graph` with its vertex weights.
+    */
+  def fromEdges(n: Int, edges: Iterable[(Int, Int, Double)]): (Array[Array[Int]], Array[Array[Double]]) = {
+    def key(u: Int, v: Int): Long = u.toLong << 32 | v
+    // both ends of every edge as (vertex, neighbour) keys, sorted and deduplicated
+    val both = new mutable.ArrayBuilder.ofLong
+    edges.foreach { case (u, v, _) =>
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u, $v) has an endpoint outside [0, $n)")
+      if (u != v) { both += key(u, v); both += key(v, u) }
+    }
+    val sorted = both.result()
+    java.util.Arrays.sort(sorted)
+    var m = 0
+    sorted.foreach(e => if (m == 0 || sorted(m - 1) != e) { sorted(m) = e; m += 1 })
+    val keys = java.util.Arrays.copyOf(sorted, m)
+    val sums = new Array[Double](m)
+    edges.foreach { case (u, v, w) =>
+      if (u != v) {
+        sums(java.util.Arrays.binarySearch(keys, key(u, v))) += w
+        sums(java.util.Arrays.binarySearch(keys, key(v, u))) += w
+      }
+    }
+    // keys(start(u) until start(u + 1)) are the neighbours of u
+    val start = new Array[Int](n + 1)
+    keys.foreach(e => start((e >>> 32).toInt + 1) += 1)
+    (0 until n).foreach(u => start(u + 1) += start(u))
+    (Array.tabulate(n)(u => keys.slice(start(u), start(u + 1)).map(_.toInt)),
+      Array.tabulate(n)(u => sums.slice(start(u), start(u + 1))))
+  }
 
   /** The former `GnnEA.embed`: a boxed per-vertex adjacency built on every
     * call, gathered over per layer. Verbatim but for the constants that

@@ -10,7 +10,7 @@ import org.apache.spark.sql.functions._
 class NffDataAugSpec extends SparkSpec {
 
   private lazy val ds = KGGen.generate(spark, Datasets.tiny())
-  private lazy val nff = Nff.compute(spark, ds, phi = 10)
+  private lazy val nff = Nff.compute(spark, ds, phi = 10, theta = 0.5, gamma = 0.05)
 
   test("Mn = Mse + gamma*Mst on the union of supports") {
     val mse = SimMatrix.fromLocal(spark, Seq((0L, 1L, 0.8), (0L, 2L, 0.5)), 16, 16)
@@ -103,7 +103,7 @@ class NffDataAugSpec extends SparkSpec {
 
   test("unknown entities reduce pseudo-seed count but not much precision") {
     val unk = KGGen.generate(spark, Datasets.tinyWithUnknowns())
-    val n = Nff.compute(spark, unk, phi = 10)
+    val n = Nff.compute(spark, unk, phi = 10, theta = 0.5, gamma = 0.05)
     val p = DataAug.pseudoSeedPairs(n.mn)
     val prec = DataAug.precision(p, unk.truthPairs)
     info(f"with unknowns: ${p.length} seeds, precision ${prec * 100}%.1f%%")

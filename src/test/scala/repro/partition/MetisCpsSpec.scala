@@ -2,7 +2,7 @@ package repro.partition
 
 import repro.SparkSpec
 import repro.exp.Datasets
-import repro.kg.KGGen
+import repro.kg.{Graph, KGGen}
 
 /** Unit tests for METIS-CPS (the paper's collaborative partition strategy). */
 class MetisCpsSpec extends SparkSpec {
@@ -30,10 +30,10 @@ class MetisCpsSpec extends SparkSpec {
   }
 
   test("source-side edge cut is far below VPS's") {
-    val g = Metis.Graph.fromEdges(300, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
+    val g = Graph.fromEdges(300, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
     val vps = Vps.partition(ds, 3, ds.trainPairs, seed = 7)
-    val cpsCut = g.cutWeight(batches.srcPart)
-    val vpsCut = g.cutWeight(vps.srcPart)
+    val cpsCut = Metis.cutWeight(g, batches.srcPart)
+    val vpsCut = Metis.cutWeight(g, vps.srcPart)
     info(s"src cut: cps=$cpsCut vps=$vpsCut")
     assert(cpsCut < vpsCut * 0.7, s"cps=$cpsCut vps=$vpsCut")
   }

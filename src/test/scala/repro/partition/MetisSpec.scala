@@ -2,19 +2,20 @@ package repro.partition
 
 import org.scalacheck.{Gen, Prop}
 import repro.{PropHelper, SparkSpec}
+import repro.kg.Graph
 import scala.util.Random
 
 /** Unit + property tests for the multilevel METIS substitute. */
 class MetisSpec extends SparkSpec with PropHelper {
 
-  private def ring(n: Int): Metis.Graph =
-    Metis.Graph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n, 1.0)))
+  private def ring(n: Int): Graph =
+    Graph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n, 1.0)))
 
-  private def twoCliques(m: Int): Metis.Graph = {
+  private def twoCliques(m: Int): Graph = {
     val edges = (for {
       i <- 0 until m; j <- i + 1 until m
     } yield Seq((i, j, 1.0), (m + i, m + j, 1.0))).flatten :+ ((m - 1, m, 1.0))
-    Metis.Graph.fromEdges(2 * m, edges.map { case (a, b, c) => (a, b, c) })
+    Graph.fromEdges(2 * m, edges.map { case (a, b, c) => (a, b, c) })
   }
 
   test("k=1 puts everything in one part") {
@@ -35,35 +36,35 @@ class MetisSpec extends SparkSpec with PropHelper {
     assert(p.take(12).toSet.size == 1)
     assert(p.drop(12).toSet.size == 1)
     assert(p(0) != p(12))
-    assert(g.cutWeight(p) == 1.0)
+    assert(Metis.cutWeight(g, p) == 1.0)
   }
 
   test("ring of 40 into 4 parts cuts exactly 4 edges when ideal") {
     val g = ring(40)
     val p = Metis.partition(g, 4)
     // ideal cut = 4; accept near-ideal from the heuristic
-    assert(g.cutWeight(p) <= 8.0, s"cut=${g.cutWeight(p)}")
+    assert(Metis.cutWeight(g, p) <= 8.0, s"cut=${Metis.cutWeight(g, p)}")
     val sizes = p.groupBy(identity).view.mapValues(_.length).values.toSeq
     assert(sizes.max <= 16, s"imbalanced: $sizes")
   }
 
   test("heavy edges are preserved, light edges cut") {
     // chain a-b=c-d where b=c has huge weight: cut must avoid b-c
-    val g = Metis.Graph.fromEdges(4, Seq((0, 1, 1.0), (1, 2, 100.0), (2, 3, 1.0)))
+    val g = Graph.fromEdges(4, Seq((0, 1, 1.0), (1, 2, 100.0), (2, 3, 1.0)))
     val p = Metis.partition(g, 2)
     assert(p(1) == p(2), "the w=100 edge must not be cut")
   }
 
   test("zero-weight edges are free to cut") {
     // two triangles connected by a zero-weight edge
-    val g = Metis.Graph.fromEdges(6,
+    val g = Graph.fromEdges(6,
       Seq((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
           (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 0.0)))
     val p = Metis.partition(g, 2)
     assert(p(0) == p(1) && p(1) == p(2))
     assert(p(3) == p(4) && p(4) == p(5))
     assert(p(0) != p(3))
-    assert(g.cutWeight(p) == 0.0)
+    assert(Metis.cutWeight(g, p) == 0.0)
   }
 
   test("partition is deterministic in the seed") {
@@ -78,43 +79,43 @@ class MetisSpec extends SparkSpec with PropHelper {
     val p = Metis.partition(g, 8)
     val rnd = new Random(1)
     val randomPart = Array.fill(g.n)(rnd.nextInt(8))
-    assert(g.cutWeight(p) < g.cutWeight(randomPart) / 4,
-      s"metis=${g.cutWeight(p)} random=${g.cutWeight(randomPart)}")
+    assert(Metis.cutWeight(g, p) < Metis.cutWeight(g, randomPart) / 4,
+      s"metis=${Metis.cutWeight(g, p)} random=${Metis.cutWeight(g, randomPart)}")
   }
 
   test("Graph.fromEdges sums parallel edges and drops self loops") {
-    val g = Metis.Graph.fromEdges(3, Seq((0, 1, 1.0), (1, 0, 2.0), (2, 2, 9.0)))
-    val i = g.adjN(0).indexOf(1)
-    assert(g.adjW(0)(i) == 3.0)
-    assert(g.adjN(2).isEmpty)
-    // adjacency lists are sorted by neighbour id
-    val h = Metis.Graph.fromEdges(4, Seq((0, 3, 1.0), (2, 0, 1.0), (0, 1, 1.0)))
-    assert(h.adjN(0).toSeq == Seq(1, 2, 3))
+    val g = Graph.fromEdges(3, Seq((0, 1, 1.0), (1, 0, 2.0), (2, 2, 9.0)))
+    assert(g.ptr.toSeq == Seq(0, 1, 2, 2))
+    assert(g.nbr.toSeq == Seq(1, 0))
+    assert(g.w.toSeq == Seq(3.0, 3.0))
+    // neighbour lists are sorted by id
+    val h = Graph.fromEdges(4, Seq((0, 3, 1.0), (2, 0, 1.0), (0, 1, 1.0)))
+    assert(h.nbr.slice(h.ptr(0), h.ptr(1)).toSeq == Seq(1, 2, 3))
     // an endpoint outside [0, n) is rejected
-    assert(intercept[IllegalArgumentException](Metis.Graph.fromEdges(2, Seq((0, -1, 1.0))))
+    assert(intercept[IllegalArgumentException](Graph.fromEdges(2, Seq((0, -1, 1.0))))
       .getMessage.contains("outside [0, 2)"))
   }
 
   test("cutWeight counts each edge once") {
-    val g = Metis.Graph.fromEdges(2, Seq((0, 1, 2.5)))
-    assert(g.cutWeight(Array(0, 1)) == 2.5)
-    assert(g.cutWeight(Array(0, 0)) == 0.0)
+    val g = Graph.fromEdges(2, Seq((0, 1, 2.5)))
+    assert(Metis.cutWeight(g, Array(0, 1)) == 2.5)
+    assert(Metis.cutWeight(g, Array(0, 0)) == 0.0)
   }
 
   // ---- properties ----------------------------------------------------------
 
-  private def randomGraph(n: Int, m: Int, seed: Int): Metis.Graph = {
+  private def randomGraph(n: Int, m: Int, seed: Int): Graph = {
     val r = new Random(seed)
     val edges = (0 until m).map(_ => (r.nextInt(n), r.nextInt(n), 1.0))
-    Metis.Graph.fromEdges(n, edges)
+    Graph.fromEdges(n, edges)
   }
 
-  private def twoCliquesChain(k: Int, m: Int): Metis.Graph = {
+  private def twoCliquesChain(k: Int, m: Int): Graph = {
     val edges = scala.collection.mutable.ArrayBuffer[(Int, Int, Double)]()
     for (c <- 0 until k; i <- 0 until m; j <- i + 1 until m)
       edges += ((c * m + i, c * m + j, 1.0))
     for (c <- 0 until k - 1) edges += ((c * m + m - 1, (c + 1) * m, 1.0))
-    Metis.Graph.fromEdges(k * m, edges.toSeq)
+    Graph.fromEdges(k * m, edges.toSeq)
   }
 
   test("property: every vertex is assigned a valid part and balance holds") {
@@ -142,8 +143,8 @@ class MetisSpec extends SparkSpec with PropHelper {
         val (a, b) = if (r.nextBoolean()) (v, u) else (u, v)
         if (w >= 2 && r.nextBoolean()) Seq((a, b, 1.0), (b, a, w - 1)) else Seq((a, b, w))
       })
-      val p = Metis.partition(Metis.Graph.fromEdges(n, edges), k, seed = s)
-      p.toSeq == Metis.partition(Metis.Graph.fromEdges(n, varied), k, seed = s).toSeq
+      val p = Metis.partition(Graph.fromEdges(n, edges), k, seed = s)
+      p.toSeq == Metis.partition(Graph.fromEdges(n, varied), k, seed = s).toSeq
     }, minSuccessful = 20)
   }
 

@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{PropHelper, ReferenceKernels, TestGraphs}
 import repro.embed.VecOps
+import repro.kg.Graph
 
 /** Unit tests for the training-free GNN EA model. */
 class GnnEASpec extends AnyFunSuite with PropHelper {
@@ -15,7 +16,8 @@ class GnnEASpec extends AnyFunSuite with PropHelper {
   private def embed(
       n: Int, triples: Array[(Int, Int, Int)], anchors: Map[Int, Long],
       cfg: GnnEA.Config, sideSalt: Long): Array[Array[Float]] =
-    GnnEA.embed(GnnEA.adjacency(n, triples, cfg), Array.tabulate(n)(anchors.getOrElse(_, -1L)), cfg, sideSalt)
+    GnnEA.embed(GnnEA.adjacency(n, triples, cfg), Array.tabulate(n)(anchors.getOrElse(_, -1L)),
+      GnnEA.noise(n, sideSalt), cfg)
 
   test("deterministic embeddings") {
     val a = embed(5, triples, Map(0 -> 1L), GnnEA.Rrea, 7L)
@@ -113,11 +115,12 @@ class GnnEASpec extends AnyFunSuite with PropHelper {
     } yield (graph._1, graph._2, anchors.toArray, salt)
     checkProp(Prop.forAll(gen) { case (n, triples, anchors, salt) =>
       val none = Array.fill(n)(-1L)
+      val noise = GnnEA.noise(n, salt)
       Seq(GnnEA.Gcn, GnnEA.Rrea).forall { cfg =>
         val adj = GnnEA.adjacency(n, triples, cfg)
         Seq(anchors, none).forall { a =>
           val anchorMap = a.indices.filter(a(_) >= 0).map(e => e -> a(e)).toMap
-          TestGraphs.sameBits(GnnEA.embed(adj, a, cfg, salt),
+          TestGraphs.sameBits(GnnEA.embed(adj, a, noise, cfg),
             ReferenceKernels.gnnEmbed(n, triples, anchorMap, cfg, salt))
         }
       }
@@ -125,12 +128,12 @@ class GnnEASpec extends AnyFunSuite with PropHelper {
   }
 
   test("adjacency keeps each vertex's neighbours in triple order and drops self-loops") {
-    val adj = GnnEA.Adjacency(4, Array((2, 0, 0), (1, 0, 1), (0, 1, 3), (2, 2, 0), (3, 0, 2)))((r, _) => r.toFloat)
+    val adj = Graph.fromTriples(4, Array((2, 0, 0), (1, 0, 1), (0, 1, 3), (2, 2, 0), (3, 0, 2)))((r, _) => r.toFloat)
     assert(adj.ptr.toSeq == Seq(0, 3, 3, 6, 8))
     assert(adj.nbr.toSeq == Seq(2, 3, 2, 0, 0, 3, 0, 2))
-    assert(adj.w.toSeq == Seq(0f, 1f, 2f, 0f, 2f, 0f, 1f, 0f))
+    assert(adj.w.toSeq == Seq(0.0, 1.0, 2.0, 0.0, 2.0, 0.0, 1.0, 0.0))
     // degrees 1, 2, 1: both edges weigh √(1·2)
-    val path = GnnEA.Adjacency(3, Array((0, 0, 1), (1, 0, 2)))((_, norm) => norm.toFloat)
-    assert(path.w.toSeq == Seq.fill(4)(math.sqrt(2.0).toFloat))
+    val path = Graph.fromTriples(3, Array((0, 0, 1), (1, 0, 2)))((_, norm) => norm.toFloat)
+    assert(path.w.toSeq == Seq.fill(4)(math.sqrt(2.0).toFloat.toDouble))
   }
 }
