@@ -44,16 +44,15 @@ object Baselines {
   /** GCN-Align (Wang et al. 2018): vanilla GCN over the full graph,
     * structure features only (the variant LargeEA-G builds on).
     */
-  def gcnAlign(spark: SparkSession, ds: EaDataset): RunResult = {
-    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Gcn))
-    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
-  }
+  def gcnAlign(spark: SparkSession, ds: EaDataset): RunResult = structureOnly(spark, ds, GnnEA.Gcn)
 
   /** RREA (Mao et al. 2020): relational-reflection GNN over the full graph,
     * structure features only (the variant LargeEA-R builds on).
     */
-  def rrea(spark: SparkSession, ds: EaDataset): RunResult = {
-    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, GnnEA.Rrea))
+  def rrea(spark: SparkSession, ds: EaDataset): RunResult = structureOnly(spark, ds, GnnEA.Rrea)
+
+  private def structureOnly(spark: SparkSession, ds: EaDataset, cfg: GnnEA.Config): RunResult = {
+    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, cfg))
     RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 

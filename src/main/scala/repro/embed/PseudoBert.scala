@@ -19,8 +19,7 @@ import scala.util.hashing.MurmurHash3
   * Everything downstream (max-pool, normalization, Manhattan top-k) is
   * exactly the paper's pipeline.
   */
-final class PseudoBert(lexicon: Map[String, String], dim: Int = 64, seed: Long = 1234L)
-    extends Serializable {
+final class PseudoBert(lexicon: Map[String, String], dim: Int = 64) extends Serializable {
 
   /** Lowercase + split on non-alphanumerics (BERT-ish basic tokenizer;
     * unicode letters kept so pseudo-French accents survive).
@@ -36,7 +35,7 @@ final class PseudoBert(lexicon: Map[String, String], dim: Int = 64, seed: Long =
   /** Deterministic embedding of one token. */
   def tokenVector(token: String): Array[Float] = {
     val h = MurmurHash3.stringHash(canonical(token), 0x5bd1).toLong
-    VecOps.hashGaussian(seed ^ (h << 17) ^ h, dim)
+    VecOps.hashGaussian(1234L ^ (h << 17) ^ h, dim)
   }
 
   /** Entity-name embedding: max-pool over token vectors, L2-normalized

@@ -19,28 +19,28 @@ object VecOps {
   def manhattanSim(a: Array[Float], b: Array[Float]): Double =
     1.0 / (1.0 + manhattan(a, b))
 
-  /** L2-normalize in place with the paper's ε guard: h ← h / (‖h‖₂ + ε). */
-  def normalize(v: Array[Float], eps: Double = 1e-8): Array[Float] = {
+  /** L2-normalize in place with the paper's ε guard: h ← h / (‖h‖₂ + ε), ε = 1e-8. */
+  def normalize(v: Array[Float]): Array[Float] = {
     var s = 0.0
     var i = 0
     while (i < v.length) { s += v(i).toDouble * v(i); i += 1 }
-    val inv = (1.0 / (math.sqrt(s) + eps)).toFloat
+    val inv = (1.0 / (math.sqrt(s) + 1e-8)).toFloat
     i = 0
     while (i < v.length) { v(i) *= inv; i += 1 }
     v
   }
 
-  /** Cap the L2 norm at `maxNorm` in place: scales down, never up.
+  /** Cap the L2 norm at 1 in place: scales down, never up.
     * (Propagation uses this instead of full normalization so ε-scale
     * noise is never inflated to signal magnitude.)
     */
-  def capNorm(v: Array[Float], maxNorm: Double = 1.0): Array[Float] = {
+  def capNorm(v: Array[Float]): Array[Float] = {
     var s = 0.0
     var i = 0
     while (i < v.length) { s += v(i).toDouble * v(i); i += 1 }
     val norm = math.sqrt(s)
-    if (norm > maxNorm) {
-      val inv = (maxNorm / norm).toFloat
+    if (norm > 1.0) {
+      val inv = (1.0 / norm).toFloat
       i = 0
       while (i < v.length) { v(i) *= inv; i += 1 }
     }

@@ -170,9 +170,8 @@ object Tables {
     // competitors: all OOM at DBP1M scale — rows of dashes, as in the paper
     val competitorOom = Datasets.dbpSpecs.flatMap { spec =>
       competitors.map { case (m, footprint, _) =>
-        val fp = footprint(spec.represented)
-        if (fp.oom) oomRow(spec.key, m)
-        else eaRow(spec.key, m, EaScores(0, 0, 0, 0), 0, fp.prettyGpu)
+        require(footprint(spec.represented).oom, s"$m fits in memory at ${spec.key} scale, but Table 3 does not run competitors")
+        oomRow(spec.key, m)
       }
     }
     (largeRows, competitorOom)

@@ -19,8 +19,6 @@ import repro.sim.SimMatrix
   */
 object Stns {
 
-  private val Lsh = new MinHashLsh() // its defaults: 128 permutations, 32 bands
-
   /** Exact Levenshtein distance (two-row DP). */
   def levenshtein(a: String, b: String): Int = {
     if (a.isEmpty) return b.length
@@ -59,17 +57,17 @@ object Stns {
       srcNames: Array[String],
       tgtNames: Array[String],
       theta: Double): SimMatrix = {
-    // signatures are the costly part (numPerm hashes per shingle): run them in parallel
-    val srcSig = srcNames.par.map(Lsh.signature).toArray
-    val tgtSig = tgtNames.par.map(Lsh.signature).toArray
+    // signatures are the costly part (`NumPerm` hashes per shingle): run them in parallel
+    val srcSig = srcNames.par.map(MinHashLsh.signature).toArray
+    val tgtSig = tgtNames.par.map(MinHashLsh.signature).toArray
     // LSH buckets: band key -> the target ids that hash to it
     val buckets = scala.collection.mutable.LongMap.empty[List[Int]]
-    for (t <- tgtSig.indices; k <- Lsh.bandKeys(tgtSig(t))) buckets(k) = t :: buckets.getOrElse(k, Nil)
+    for (t <- tgtSig.indices; k <- MinHashLsh.bandKeys(tgtSig(t))) buckets(k) = t :: buckets.getOrElse(k, Nil)
     // each candidate pair once, then the θ filter, then Levenshtein
     val cells = for {
       s <- srcSig.indices.par
-      t <- Lsh.bandKeys(srcSig(s)).flatMap(buckets.getOrElse(_, Nil)).distinct
-      if Lsh.estJaccard(srcSig(s), tgtSig(t)) >= theta
+      t <- MinHashLsh.bandKeys(srcSig(s)).flatMap(buckets.getOrElse(_, Nil)).distinct
+      if MinHashLsh.estJaccard(srcSig(s), tgtSig(t)) >= theta
     } yield (s.toLong, t.toLong, levenshteinSim(srcNames(s), tgtNames(t)))
     SimMatrix.fromLocal(spark, cells.seq, srcNames.length, tgtNames.length)
   }

@@ -6,8 +6,14 @@ import repro.kg.EaDataset
   * target entity. Batch `b` consists of source subgraph {e : srcPart(e)=b}
   * together with target subgraph {e : tgtPart(e)=b} (already paired by the
   * strategy — METIS-CPS pairs subgraphs by maximal shared seed count).
+  * Construction throws IllegalArgumentException unless k >= 1 and every
+  * batch id is in [0, k).
   */
 final case class MiniBatches(k: Int, srcPart: Array[Int], tgtPart: Array[Int]) {
+
+  require(k >= 1, s"k must be >= 1, got $k")
+  for ((part, side) <- Seq((srcPart, "source"), (tgtPart, "target")); e <- part.indices)
+    require(part(e) >= 0 && part(e) < k, s"$side entity $e is in batch ${part(e)}, outside [0, $k)")
 
   /** Fraction of `pairs` whose two sides land in the same mini-batch.
     * This is the paper's Table 5 metric ("percentage of equivalent

@@ -16,16 +16,17 @@ import repro.sim.SimMatrix
   * memory-saving O(|Es|)-cells design (we keep top-k per source row, found
   * by `VecOps.l1TopK` over the batch's flat target embeddings).
   *
-  * Batches are processed as Spark tasks (parallelize over batch ids with
-  * the triples broadcast), mirroring the paper's embarrassingly parallel
-  * per-batch training.
+  * The driver cuts every batch once (`cut`) and broadcasts them; each
+  * batch is then trained as one Spark task, mirroring the paper's
+  * embarrassingly parallel per-batch training.
   */
 object StructChannel {
 
   /** Compute Ms.
     *
-    * @param batches mini-batch assignment from METIS-CPS / VPS (k = 1
-    *                reproduces the paper's "w/o partition" setting)
+    * @param batches mini-batch assignment from METIS-CPS / VPS (k = 1 is the
+    *                paper's "w/o partition" setting), one batch id per entity
+    *                on each side, else IllegalArgumentException
     * @param seeds   training alignment ψ′ (possibly DA-augmented)
     * @param topK    similarity cells kept per source entity within a batch;
     *                0 keeps no cell, < 0 throws IllegalArgumentException
@@ -38,21 +39,53 @@ object StructChannel {
       cfg: GnnEA.Config,
       topK: Int): SimMatrix = {
     require(topK >= 0, s"topK must be >= 0, got $topK")
-
     val nS = ds.source.numEntities.toInt
     val nT = ds.target.numEntities.toInt
-    val sc = spark.sparkContext
-    val bcSrcT = sc.broadcast(ds.source.triplesArray)
-    val bcTgtT = sc.broadcast(ds.target.triplesArray)
-    val bcSrcP = sc.broadcast(batches.srcPart)
-    val bcTgtP = sc.broadcast(batches.tgtPart)
-    val bcSeeds = sc.broadcast(seeds)
+    require(batches.srcPart.length == nS && batches.tgtPart.length == nT,
+      s"batches assign ${batches.srcPart.length} x ${batches.tgtPart.length} entities, the dataset has $nS x $nT")
 
-    val blocks = sc.parallelize(0 until batches.k, batches.k).map { b =>
-      trainBatch(b, nS, nT, bcSrcT.value, bcTgtT.value,
-                 bcSrcP.value, bcTgtP.value, bcSeeds.value, cfg, topK)
-    }.collect()
+    val sc = spark.sparkContext
+    val bc = sc.broadcast(cut(ds, batches, seeds))
+    val blocks = sc.parallelize(0 until batches.k, batches.k).map(b => trainBatch(bc.value(b), cfg, topK)).collect()
     SimMatrix.fromBlocks(spark, nS, nT, blocks)
+  }
+
+  /** Mini-batch B_b = (Gs^b, Gt^b, ψ′_b) in batch-local ids: `srcIds(i)` is
+    * local source entity i's global id (ascending), `srcTriples` the source
+    * triples inside the batch, in triple order (edges cut by the partition
+    * are lost: the accuracy cost the name channel recoups), and
+    * `srcAnchors(i)` the index in ψ′ of i's seed, or -1. Likewise for the
+    * target side.
+    */
+  private[structure] final case class Batch(
+      index: Int,
+      srcIds: Array[Int], tgtIds: Array[Int],
+      srcTriples: Array[(Int, Int, Int)], tgtTriples: Array[(Int, Int, Int)],
+      srcAnchors: Array[Long], tgtAnchors: Array[Long])
+
+  /** All mini-batches, cut in one pass over each side's entities and triples and one over ψ′. */
+  private[structure] def cut(ds: EaDataset, batches: MiniBatches, seeds: Array[(Long, Long)]): Array[Batch] = {
+    val k = batches.k
+    // per side: each entity's local id, then every part's ids and kept triples
+    def side(part: Array[Int], triples: Array[(Int, Int, Int)]) = {
+      val sizes = new Array[Int](k)
+      val local = new Array[Int](part.length)
+      for (e <- part.indices) { local(e) = sizes(part(e)); sizes(part(e)) += 1 }
+      val ids = sizes.map(new Array[Int](_))
+      for (e <- part.indices) ids(part(e))(local(e)) = e
+      val kept = Array.fill(k)(Array.newBuilder[(Int, Int, Int)])
+      for ((h, r, t) <- triples if part(h) == part(t)) kept(part(h)) += ((local(h), r, local(t)))
+      (local, ids, kept.map(_.result()), sizes.map(Array.fill(_)(-1L)))
+    }
+    val (srcPart, tgtPart) = (batches.srcPart, batches.tgtPart)
+    val (srcLocal, srcIds, srcTriples, srcAnchors) = side(srcPart, ds.source.triplesArray)
+    val (tgtLocal, tgtIds, tgtTriples, tgtAnchors) = side(tgtPart, ds.target.triplesArray)
+    // the anchor seed id is the pair's index in ψ′, identical on both sides
+    for (((s, t), i) <- seeds.zipWithIndex if srcPart(s.toInt) == tgtPart(t.toInt)) {
+      srcAnchors(srcPart(s.toInt))(srcLocal(s.toInt)) = i
+      tgtAnchors(tgtPart(t.toInt))(tgtLocal(t.toInt)) = i
+    }
+    Array.tabulate(k)(b => Batch(b, srcIds(b), tgtIds(b), srcTriples(b), tgtTriples(b), srcAnchors(b), tgtAnchors(b)))
   }
 
   /** Mutual nearest neighbours between two embedding sets, excluding the
@@ -96,59 +129,24 @@ object StructChannel {
       .toArray
   }
 
-  /** The ids `e < n` in part `b`, ascending, and each id's batch-local id:
-    * its position among them, or -1 outside the batch.
+  /** Train one mini-batch and emit its similarity rows, each in rank order.
+    * `batch` is left unchanged: in local mode it is the driver's object.
     */
-  private def localIds(part: Array[Int], n: Int, b: Int): (Array[Int], Array[Int]) = {
-    val local = Array.fill(n)(-1)
-    var size = 0
-    for (e <- 0 until n) if (part(e) == b) { local(e) = size; size += 1 }
-    val ids = new Array[Int](size)
-    for (e <- 0 until n) if (local(e) >= 0) ids(local(e)) = e
-    (ids, local)
-  }
-
-  /** Train one mini-batch and emit its similarity rows, each in rank order. */
-  private def trainBatch(
-      b: Int, nS: Int, nT: Int,
-      srcTriples: Array[(Int, Int, Int)],
-      tgtTriples: Array[(Int, Int, Int)],
-      srcPart: Array[Int],
-      tgtPart: Array[Int],
-      seeds: Array[(Long, Long)],
-      cfg: GnnEA.Config,
-      topK: Int): SimMatrix.Block = {
-
-    // ---- local id spaces for the batch subgraphs ---------------------------
-    val (srcIds, srcLocal) = localIds(srcPart, nS, b)
-    val (tgtIds, tgtLocal) = localIds(tgtPart, nT, b)
+  private[structure] def trainBatch(batch: Batch, cfg: GnnEA.Config, topK: Int): SimMatrix.Block = {
+    val (b, srcIds, tgtIds) = (batch.index, batch.srcIds, batch.tgtIds)
     if (srcIds.isEmpty || tgtIds.isEmpty) return SimMatrix.Block(Array.empty, Array.empty, Array.empty)
-
-    // triples fully inside the batch (edges cut by the partition are lost —
-    // that is the accuracy cost the name channel recoups)
-    val sT = srcTriples.collect {
-      case (h, r, t) if srcLocal(h) >= 0 && srcLocal(t) >= 0 => (srcLocal(h), r, srcLocal(t))
-    }
-    val tT = tgtTriples.collect {
-      case (h, r, t) if tgtLocal(h) >= 0 && tgtLocal(t) >= 0 => (tgtLocal(h), r, tgtLocal(t))
-    }
 
     // each side's graph and layer-0 noise are built once and serve every
     // bootstrap round
-    val srcAdj = GnnEA.adjacency(srcIds.length, sT, cfg)
-    val tgtAdj = GnnEA.adjacency(tgtIds.length, tT, cfg)
+    val srcAdj = GnnEA.adjacency(srcIds.length, batch.srcTriples, cfg)
+    val tgtAdj = GnnEA.adjacency(tgtIds.length, batch.tgtTriples, cfg)
     val srcNoise = GnnEA.noise(srcIds.length, sideSalt = 0xAAAA + b)
     val tgtNoise = GnnEA.noise(tgtIds.length, sideSalt = 0xBBBB + b)
 
-    // seeds fully inside the batch anchor the two sides to a shared space;
-    // the anchor seed id is the pair's index in ψ′, identical on both sides,
-    // and -1 marks an entity without one
-    val srcAnchors = Array.fill(srcIds.length)(-1L)
-    val tgtAnchors = Array.fill(tgtIds.length)(-1L)
-    for (((s, t), i) <- seeds.zipWithIndex if srcLocal(s.toInt) >= 0 && tgtLocal(t.toInt) >= 0) {
-      srcAnchors(srcLocal(s.toInt)) = i
-      tgtAnchors(tgtLocal(t.toInt)) = i
-    }
+    // seeds inside the batch anchor the two sides to a shared space; the
+    // bootstrap rounds add anchors to copies, and -1 marks none
+    val srcAnchors = batch.srcAnchors.clone()
+    val tgtAnchors = batch.tgtAnchors.clone()
 
     def embedSrc() = GnnEA.embed(srcAdj, srcAnchors, srcNoise, cfg)
     def embedTgt() = GnnEA.embed(tgtAdj, tgtAnchors, tgtNoise, cfg)

@@ -6,10 +6,55 @@ import scala.collection.mutable
 
 /** The kernels that `VecOps.l1TopK`, the single-pass
   * `StructChannel.mutualNN`, the shared CSR propagation
-  * (`Graph.fromTriples` + `GnnEA.layer`) and the CSR `Graph.fromEdges`
-  * replaced, kept verbatim as references for the equivalence properties.
+  * (`Graph.fromTriples` + `GnnEA.layer`), the CSR `Graph.fromEdges` and
+  * the one-pass `StructChannel.cut` replaced, kept verbatim as references
+  * for the equivalence properties.
   */
 object ReferenceKernels {
+
+  /** The former `StructChannel.localIds`, verbatim: the ids `e < n` in
+    * part `b`, ascending, and each id's batch-local id: its position among
+    * them, or -1 outside the batch.
+    */
+  def localIds(part: Array[Int], n: Int, b: Int): (Array[Int], Array[Int]) = {
+    val local = Array.fill(n)(-1)
+    var size = 0
+    for (e <- 0 until n) if (part(e) == b) { local(e) = size; size += 1 }
+    val ids = new Array[Int](size)
+    for (e <- 0 until n) if (local(e) >= 0) ids(local(e)) = e
+    (ids, local)
+  }
+
+  /** The former per-task cut of batch `b` in `StructChannel.trainBatch`,
+    * which scanned every entity, triple and seed of the dataset. Verbatim
+    * but for returning (srcIds, tgtIds, srcTriples, tgtTriples, srcAnchors,
+    * tgtAnchors) instead of training on them, and for not stopping early
+    * when one side is empty.
+    */
+  def batch(
+      b: Int, nS: Int, nT: Int,
+      srcTriples: Array[(Int, Int, Int)],
+      tgtTriples: Array[(Int, Int, Int)],
+      srcPart: Array[Int],
+      tgtPart: Array[Int],
+      seeds: Array[(Long, Long)])
+      : (Array[Int], Array[Int], Array[(Int, Int, Int)], Array[(Int, Int, Int)], Array[Long], Array[Long]) = {
+    val (srcIds, srcLocal) = localIds(srcPart, nS, b)
+    val (tgtIds, tgtLocal) = localIds(tgtPart, nT, b)
+    val sT = srcTriples.collect {
+      case (h, r, t) if srcLocal(h) >= 0 && srcLocal(t) >= 0 => (srcLocal(h), r, srcLocal(t))
+    }
+    val tT = tgtTriples.collect {
+      case (h, r, t) if tgtLocal(h) >= 0 && tgtLocal(t) >= 0 => (tgtLocal(h), r, tgtLocal(t))
+    }
+    val srcAnchors = Array.fill(srcIds.length)(-1L)
+    val tgtAnchors = Array.fill(tgtIds.length)(-1L)
+    for (((s, t), i) <- seeds.zipWithIndex if srcLocal(s.toInt) >= 0 && tgtLocal(t.toInt) >= 0) {
+      srcAnchors(srcLocal(s.toInt)) = i
+      tgtAnchors(tgtLocal(t.toInt)) = i
+    }
+    (srcIds, tgtIds, sT, tT, srcAnchors, tgtAnchors)
+  }
 
   /** The former `Metis.Graph.fromEdges`, which built per-vertex neighbour
     * and weight arrays. Verbatim but for returning those two arrays instead

@@ -111,7 +111,7 @@ class KGGenSpec extends SparkSpec {
   }
 
   test("translated names retain character overlap with source names") {
-    val lsh = new repro.name.MinHashLsh()
+    val lsh = repro.name.MinHashLsh
     val truthMap = ds.truthPairs.toMap
     val src = ds.source.namesArray
     val tgt = ds.target.namesArray

@@ -7,7 +7,7 @@ import repro.PropHelper
 /** Unit + property tests for the datasketch substitute. */
 class MinHashLshSpec extends AnyFunSuite with PropHelper {
 
-  private val lsh = new MinHashLsh()
+  private val lsh = MinHashLsh
 
   test("shingles of short and normal strings") {
     assert(lsh.shingles("ab").size == 1)
@@ -54,7 +54,7 @@ class MinHashLshSpec extends AnyFunSuite with PropHelper {
     val a = lsh.bandKeys(lsh.signature("hello world"))
     val b = lsh.bandKeys(lsh.signature("hello world"))
     assert(a.toSeq == b.toSeq)
-    assert(a.length == lsh.bands)
+    assert(a.length == MinHashLsh.Bands)
   }
 
   test("similar strings share at least one band (LSH recall at J>=0.5)") {
@@ -83,10 +83,6 @@ class MinHashLshSpec extends AnyFunSuite with PropHelper {
       if (a.intersect(b).nonEmpty) collisions += 1
     }
     assert(collisions <= 3, s"$collisions/50 random pairs collided")
-  }
-
-  test("numPerm must be divisible by bands") {
-    intercept[IllegalArgumentException](new MinHashLsh(numPerm = 100, bands = 32))
   }
 
   test("trueJaccard basics") {

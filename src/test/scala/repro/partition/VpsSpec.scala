@@ -51,6 +51,12 @@ class VpsSpec extends SparkSpec {
     intercept[IllegalArgumentException](Vps.partition(ds, -1, ds.trainPairs, seed = 1))
   }
 
+  test("MiniBatches rejects k < 1 and batch ids outside [0, k)") {
+    intercept[IllegalArgumentException](MiniBatches(0, Array.empty, Array.empty))
+    intercept[IllegalArgumentException](MiniBatches(2, Array(0, 2, 1), Array(0, 0, 1)))
+    intercept[IllegalArgumentException](MiniBatches(2, Array(0, 1, 0), Array(0, -1, 1)))
+  }
+
   test("colocationRate helper math") {
     val b = MiniBatches(2, Array(0, 1, 0), Array(0, 0, 1))
     assert(math.abs(b.colocationRate(Array((0L, 0L), (1L, 1L), (2L, 2L))) - 1.0 / 3) < 1e-12)

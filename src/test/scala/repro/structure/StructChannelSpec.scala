@@ -1,10 +1,11 @@
 package repro.structure
 
 import org.scalacheck.{Gen, Prop}
-import repro.{PropHelper, ReferenceKernels, SparkSpec}
+import repro.{PropHelper, ReferenceKernels, SparkSpec, TestGraphs}
 import repro.exp.Datasets
-import repro.kg.KGGen
+import repro.kg.{EaDataset, KG, KGGen}
 import repro.partition.{MetisCps, MiniBatches, Vps}
+import repro.sim.SimMatrix
 
 /** Unit tests for the mini-batch structure channel. */
 class StructChannelSpec extends SparkSpec with PropHelper {
@@ -95,6 +96,64 @@ class StructChannelSpec extends SparkSpec with PropHelper {
     assert(StructChannel.computeMs(spark, ds, batches, ds.trainPairs, GnnEA.Gcn, topK = 0).nnz == 0)
     intercept[IllegalArgumentException](
       StructChannel.computeMs(spark, ds, batches, ds.trainPairs, GnnEA.Gcn, topK = -1))
+  }
+
+  test("computeMs rejects batches that do not assign every entity") {
+    val short = MiniBatches(1, Array.fill(299)(0), Array.fill(300)(0))
+    val long = MiniBatches(1, Array.fill(300)(0), Array.fill(301)(0))
+    for (b <- Seq(short, long))
+      intercept[IllegalArgumentException](StructChannel.computeMs(spark, ds, b, ds.trainPairs, GnnEA.Gcn, topK = 5))
+  }
+
+  test("property: the one-pass cut equals the former per-task cut of every batch") {
+    // random graphs with self-loops, random parts (so some batches are
+    // empty) and seeds whose two ends are often in different batches
+    val gen = for {
+      k      <- Gen.choose(1, 4)
+      src    <- TestGraphs.gen
+      tgt    <- TestGraphs.gen
+      sPart  <- Gen.listOfN(src._1, Gen.choose(0, k - 1))
+      tPart  <- Gen.listOfN(tgt._1, Gen.choose(0, k - 1))
+      nSeeds <- Gen.choose(0, 15)
+      seeds  <- Gen.listOfN(nSeeds, Gen.zip(Gen.choose(0L, src._1 - 1L), Gen.choose(0L, tgt._1 - 1L)))
+    } yield (src, tgt, MiniBatches(k, sPart.toArray, tPart.toArray), seeds.toArray)
+    checkProp(Prop.forAll(gen) { case ((nS, sT), (nT, tT), batches, seeds) =>
+      val names = (n: Int) => Array.fill(n)("e")
+      val data = EaDataset.fromLocal("cut", KG.fromLocal(spark, "s", names(nS), sT),
+        KG.fromLocal(spark, "t", names(nT), tT), Nil, Nil, Nil, Map.empty)
+      val cut = StructChannel.cut(data, batches, seeds)
+      cut.length == batches.k && cut.indices.forall { b =>
+        val (srcIds, tgtIds, srcT, tgtT, srcA, tgtA) =
+          ReferenceKernels.batch(b, nS, nT, sT, tT, batches.srcPart, batches.tgtPart, seeds)
+        val c = cut(b)
+        c.index == b && c.srcIds.toSeq == srcIds.toSeq && c.tgtIds.toSeq == tgtIds.toSeq &&
+          c.srcTriples.toSeq == srcT.toSeq && c.tgtTriples.toSeq == tgtT.toSeq &&
+          c.srcAnchors.toSeq == srcA.toSeq && c.tgtAnchors.toSeq == tgtA.toSeq
+      }
+    }, minSuccessful = 300)
+  }
+
+  test("computeMs equals its batches trained one by one on the driver") {
+    val batches = MetisCps.partition(ds, 3, ds.trainPairs, seed = 7)
+    def bits(m: SimMatrix) = (m.rowPtr.toSeq, m.tgt.toSeq, m.score.map(java.lang.Double.doubleToRawLongBits).toSeq)
+    for (cfg <- Seq(GnnEA.Gcn, GnnEA.Rrea)) {
+      val ms = StructChannel.computeMs(spark, ds, batches, ds.trainPairs, cfg, topK = 5)
+      val blocks = StructChannel.cut(ds, batches, ds.trainPairs).map(StructChannel.trainBatch(_, cfg, 5))
+      assert(bits(ms) == bits(SimMatrix.fromBlocks(spark, 300, 300, blocks)))
+    }
+  }
+
+  test("trainBatch leaves its batch unchanged, so a second call gives the same block") {
+    val batches = MetisCps.partition(ds, 3, ds.trainPairs, seed = 7)
+    StructChannel.cut(ds, batches, ds.trainPairs).foreach { batch =>
+      val (srcA, tgtA) = (batch.srcAnchors.toSeq, batch.tgtAnchors.toSeq)
+      def block() = {
+        val b = StructChannel.trainBatch(batch, GnnEA.Rrea, 5) // bootstrap rounds add anchors
+        (b.src.toSeq, b.tgt.toSeq, b.score.map(java.lang.Double.doubleToRawLongBits).toSeq)
+      }
+      assert(block() == block())
+      assert(batch.srcAnchors.toSeq == srcA && batch.tgtAnchors.toSeq == tgtA)
+    }
   }
 
   test("property: single-pass mutualNN equals the two-pass reference") {
