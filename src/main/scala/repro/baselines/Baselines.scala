@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.embed.{PseudoBert, VecOps}
 import repro.eval.{EaScores, Metrics}
 import repro.kg.{EaDataset, Graph, KG}
-import repro.name.{Sens, Stns}
+import repro.name.{Nff, Sens, Stns}
 import repro.sim.SimMatrix
 import repro.structure.{GnnEA, StructChannel}
 import repro.partition.MiniBatches
@@ -19,7 +19,6 @@ object Baselines {
 
   final case class RunResult(scores: EaScores, seconds: Double)
 
-  private val TopK = 50          // similarity cells kept per source entity (the paper's φ)
   private val BertIntTopK = 150  // BERT-INT's coarse candidates, re-scored by interaction
   private val RdgcnLayers = 2
   private val RdgcnSelfWeight = 2.0f // RDGCN-lite's weight of a vertex's own vector
@@ -38,7 +37,7 @@ object Baselines {
     val nS = ds.source.numEntities.toInt
     val nT = ds.target.numEntities.toInt
     val whole = MiniBatches(1, Array.fill(nS)(0), Array.fill(nT)(0))
-    StructChannel.computeMs(spark, ds, whole, ds.trainPairs, cfg, TopK)
+    StructChannel.computeMs(spark, ds, whole, ds.trainPairs, cfg, Nff.Phi)
   }
 
   /** GCN-Align (Wang et al. 2018): vanilla GCN over the full graph,
@@ -63,7 +62,7 @@ object Baselines {
     val (sim, sec) = timeIt {
       val bert = new PseudoBert(ds.lexicon)
       val mse = Sens.similarity(spark, bert.embedAll(ds.source.namesArray),
-                                bert.embedAll(ds.target.namesArray), TopK)
+                                bert.embedAll(ds.target.namesArray), Nff.Phi)
       fullGraphStructure(spark, ds, GnnEA.Gcn).plus(mse)
     }
     RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
@@ -79,7 +78,7 @@ object Baselines {
     val (sim, sec) = timeIt {
       val bert = new PseudoBert(ds.lexicon)
       def embed(kg: KG) = rdgcnPropagate(bert.embedAll(kg.namesArray), kg.triplesArray)
-      Sens.similarity(spark, embed(ds.source), embed(ds.target), TopK)
+      Sens.similarity(spark, embed(ds.source), embed(ds.target), Nff.Phi)
     }
     RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }

@@ -39,13 +39,13 @@ final class PseudoBert(lexicon: Map[String, String], dim: Int = 64) extends Seri
   }
 
   /** Entity-name embedding: max-pool over token vectors, L2-normalized
-    * with ε (paper's SENS equation). Empty names embed to the zero-ish
-    * ε-normalized vector.
+    * with ε (paper's SENS equation). A name with no tokens embeds to the
+    * exact zero vector.
     */
   def embed(name: String): Array[Float] = {
     val toks = tokenize(name)
-    val out = Array.fill(dim)(Float.MinValue)
     if (toks.isEmpty) return new Array[Float](dim)
+    val out = Array.fill(dim)(Float.MinValue)
     toks.foreach(t => VecOps.maxPoolInPlace(out, tokenVector(t)))
     VecOps.normalize(out)
   }

@@ -6,9 +6,7 @@ import repro.eval.EaScores
 import repro.kg.EaDataset
 import repro.largeea.LargeEA
 import repro.memmodel.MemModel
-import repro.name.Nff
 import repro.partition.{MetisCps, PartitionStrategy, Vps}
-import repro.sim.SimMatrix
 import repro.structure.GnnEA
 
 /** Harnesses that regenerate each table of the paper's evaluation section.
@@ -75,49 +73,27 @@ object Tables {
   private def pipelineSeconds(r: LargeEA.Result): Double =
     r.timings.filterNot { case (k, _) => k == "eval" }.values.sum
 
-  // The name channel is identical for all LargeEA variants on a given
-  // (dataset, direction); cache its `Mn` per JVM with the wall time NFF
-  // took, so every variant is charged the same name-channel seconds, as
-  // the paper's per-variant totals are.
-  private val nameCache =
-    scala.collection.mutable.Map.empty[String, (SimMatrix, Double)]
-
-  /** The four LargeEA variants (G/R × EN→L / L→EN) on one dataset,
-    * sharing the per-direction name channel.
+  /** The four LargeEA variants (G/R × EN→L / L→EN) on one dataset: the
+    * table label, the structure model and the run's result.
     */
   def largeEaVariants(
       spark: SparkSession, spec: Datasets.Spec,
-      unsupervised: Boolean = false): Seq[(String, LargeEA.Result)] = {
+      unsupervised: Boolean = false): Seq[(String, GnnEA.Config, LargeEA.Result)] = {
     val fwd = Datasets.get(spark, spec)
-    val rev = fwd.reversed
     val base = LargeEA.Config(k = spec.k, unsupervised = unsupervised)
-
-    def nameArtifacts(ds: EaDataset): (SimMatrix, Double) =
-      nameCache.synchronized {
-        nameCache.getOrElseUpdate(ds.name, {
-          val t0 = System.nanoTime()
-          val mn = Nff.compute(spark, ds, base.phi, base.theta, base.gamma).mn
-          (mn, (System.nanoTime() - t0) / 1e9)
-        })
-      }
-    val nameFwd = nameArtifacts(fwd)
-    val nameRev = nameArtifacts(rev)
-
     for {
       (model, tag) <- Seq((GnnEA.Gcn, "G"), (GnnEA.Rrea, "R"))
-      (ds, nameC, dir) <- Seq((fwd, nameFwd, "EN->L"), (rev, nameRev, "L->EN"))
-    } yield {
-      (s"LargeEA-$tag $dir", LargeEA.run(spark, ds, base.copy(model = model), Some(nameC)))
-    }
+      (ds, dir) <- Seq((fwd, "EN->L"), (fwd.reversed, "L->EN"))
+    } yield (s"LargeEA-$tag $dir", model, LargeEA.run(spark, ds, base.copy(model = model)))
   }
 
   /** Table rows of LargeEA variants: pipeline seconds, and the memory
     * modeled for the variant's structure model at the represented scale.
     */
-  private def largeEaRows(spec: Datasets.Spec, variants: Seq[(String, LargeEA.Result)]): Seq[EaRow] =
-    variants.map { case (method, res) =>
-      val model = if (method.contains("-R")) "RREA" else "GCN"
-      val fp = MemModel.largeEa(model, spec.represented, spec.k)
+  private def largeEaRows(
+      spec: Datasets.Spec, variants: Seq[(String, GnnEA.Config, LargeEA.Result)]): Seq[EaRow] =
+    variants.map { case (method, model, res) =>
+      val fp = MemModel.largeEa(model.name, spec.represented, spec.k)
       eaRow(spec.key, method, res.scores, pipelineSeconds(res), fp.prettyGpu)
     }
 
@@ -185,7 +161,7 @@ object Tables {
     val rows = Datasets.dbpSpecs.flatMap { spec =>
       val variants = largeEaVariants(spark, spec, unsupervised = true)
       // DA stats are direction/model independent (derived from Mn of EN→L)
-      variants.headOption.foreach { case (_, res) =>
+      variants.headOption.foreach { case (_, _, res) =>
         stats :+= DaStat(spec.key, res.pseudoSeedCount, res.pseudoSeedPrecision)
       }
       largeEaRows(spec, variants)

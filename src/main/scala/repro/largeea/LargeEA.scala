@@ -18,14 +18,16 @@ object LargeEA {
       model: GnnEA.Config = GnnEA.Rrea,
       k: Int = 5,
       strategy: PartitionStrategy = MetisCps,
-      phi: Int = 50,          // semantic top-k
-      theta: Double = 0.5,    // string-channel Jaccard bound
-      gamma: Double = 0.05,   // Mn = Mse + γ·Mst
       useNameChannel: Boolean = true,
       useDataAug: Boolean = true,
       useStructChannel: Boolean = true,
       unsupervised: Boolean = false, // §3.5: seeds come from DA only
-      seed: Long = 7L)
+      seed: Long = 7L) {
+    // The paper's fixed φ/θ/γ, read here by the benchmark harness.
+    def phi: Int = Nff.Phi
+    def theta: Double = Nff.Theta
+    def gamma: Double = Nff.Gamma
+  }
 
   /** Everything a table row needs. */
   final case class Result(
@@ -41,19 +43,8 @@ object LargeEA {
     def pseudoSeedCount: Int = pseudoSeeds.length
   }
 
-  /** Run LargeEA end to end on a dataset.
-    *
-    * @param nameCache optionally a precomputed name matrix `Mn` together
-    *                  with the wall seconds NFF took — table harnesses share
-    *                  the name channel across the four LargeEA variants (it
-    *                  is identical for all of them) and charge each variant
-    *                  the recorded time, as the paper's per-variant totals do.
-    */
-  def run(
-      spark: SparkSession,
-      ds: EaDataset,
-      cfg: Config,
-      nameCache: Option[(SimMatrix, Double)] = None): Result = {
+  /** Run LargeEA end to end on a dataset. */
+  def run(spark: SparkSession, ds: EaDataset, cfg: Config): Result = {
     val timings = scala.collection.mutable.Map[String, Double]()
     def timed[T](key: String)(f: => T): T = {
       val t0 = System.nanoTime()
@@ -68,11 +59,7 @@ object LargeEA {
     // ---- name channel ------------------------------------------------------
     val nameMn: Option[SimMatrix] =
       if (cfg.useNameChannel || cfg.useDataAug || cfg.unsupervised)
-        nameCache match {
-          case Some((mn, secs)) => timings("name") = secs; Some(mn)
-          case None =>
-            Some(timed("name")(Nff.compute(spark, ds, cfg.phi, cfg.theta, cfg.gamma).mn))
-        }
+        Some(timed("name")(Nff.compute(spark, ds).mn))
       else None
 
     // ---- data augmentation -------------------------------------------------
@@ -97,7 +84,7 @@ object LargeEA {
         }
         batchesOpt = Some(batches)
         Some(timed("structTrain") {
-          StructChannel.computeMs(spark, ds, batches, seeds, cfg.model, cfg.phi)
+          StructChannel.computeMs(spark, ds, batches, seeds, cfg.model, Nff.Phi)
         })
       } else None
 

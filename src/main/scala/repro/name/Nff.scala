@@ -12,29 +12,24 @@ import repro.sim.SimMatrix
   */
 object Nff {
 
+  /** The paper's fixed name-channel parameters (§3.1). */
+  val Phi = 50       // top-k kept per source row: `Mse`, `Ms` and the baselines
+  val Theta = 0.5    // Jaccard lower bound for the string channel
+  val Gamma = 0.05   // string-channel weight
+
   final case class Result(mse: SimMatrix, mst: SimMatrix, mn: SimMatrix)
 
-  /** Compute the fused name similarity matrix for a dataset.
-    *
-    * @param phi   top-k kept in the semantic matrix (paper φ = 50)
-    * @param theta Jaccard lower bound for the string channel (paper 0.5)
-    * @param gamma string-channel weight (paper 0.05)
-    */
-  def compute(
-      spark: SparkSession,
-      ds: EaDataset,
-      phi: Int,
-      theta: Double,
-      gamma: Double): Result = {
+  /** Compute the fused name similarity matrix for a dataset. */
+  def compute(spark: SparkSession, ds: EaDataset): Result = {
     val srcNames = ds.source.namesArray
     val tgtNames = ds.target.namesArray
     val bert = new PseudoBert(ds.lexicon)
     val srcVecs = bert.embedAll(srcNames)
     val tgtVecs = bert.embedAll(tgtNames)
 
-    val mse = Sens.similarity(spark, srcVecs, tgtVecs, phi)
-    val mst = Stns.similarity(spark, srcNames, tgtNames, theta)
-    val mn  = mse.plus(mst, gamma)
+    val mse = Sens.similarity(spark, srcVecs, tgtVecs, Phi)
+    val mst = Stns.similarity(spark, srcNames, tgtNames, Theta)
+    val mn  = mse.plus(mst, Gamma)
     Result(mse, mst, mn)
   }
 }

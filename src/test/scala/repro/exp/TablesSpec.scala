@@ -1,10 +1,12 @@
 package repro.exp
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.eval.EaScores
+import repro.SparkSpec
+import repro.largeea.LargeEA
+import repro.memmodel.MemModel
+import repro.structure.GnnEA
 
-/** Unit tests for the table harness (pure parts; heavy runs live in bench/). */
-class TablesSpec extends AnyFunSuite {
+/** Unit tests for the table harness (full-scale runs live in bench/). */
+class TablesSpec extends SparkSpec {
 
   test("dataset registry has the paper's six datasets with paper K values") {
     assert(Datasets.all.map(_.key) == Seq(
@@ -65,5 +67,25 @@ class TablesSpec extends AnyFunSuite {
   test("tiny configs are small and fast by construction") {
     assert(Datasets.tiny().nCore == 300)
     assert(Datasets.tinyWithUnknowns().nSrcExtra > 0)
+  }
+
+  test("largeEaVariants runs each variant as a direct LargeEA.run, with every phase timed") {
+    val spec = Datasets.Spec("tiny-k3", Datasets.tiny(), k = 3, MemModel.Scale(300, 300, 1000, 1000))
+    val fwd = Datasets.get(spark, spec)
+    val variants = Tables.largeEaVariants(spark, spec)
+    assert(variants.map(v => (v._1, v._2)) == Seq(
+      ("LargeEA-G EN->L", GnnEA.Gcn), ("LargeEA-G L->EN", GnnEA.Gcn),
+      ("LargeEA-R EN->L", GnnEA.Rrea), ("LargeEA-R L->EN", GnnEA.Rrea)))
+    variants.foreach { case (method, model, res) =>
+      val ds = if (method.endsWith("EN->L")) fwd else fwd.reversed
+      val direct = LargeEA.run(spark, ds, LargeEA.Config(model = model, k = spec.k))
+      assert(res.scores == direct.scores, method)
+      assert(res.pseudoSeedCount == direct.pseudoSeedCount, method)
+      assert(res.fused.rowPtr.toSeq == direct.fused.rowPtr.toSeq, method)
+      assert(res.fused.tgt.toSeq == direct.fused.tgt.toSeq, method)
+      assert(res.fused.score.toSeq == direct.fused.score.toSeq, method)
+      assert(Set("name", "dataAug", "partition", "structTrain", "fusion", "eval").subsetOf(res.timings.keySet),
+        s"$method: missing phases in ${res.timings.keySet}")
+    }
   }
 }

@@ -10,7 +10,7 @@ import org.apache.spark.sql.functions._
 class NffDataAugSpec extends SparkSpec {
 
   private lazy val ds = KGGen.generate(spark, Datasets.tiny())
-  private lazy val nff = Nff.compute(spark, ds, phi = 10, theta = 0.5, gamma = 0.05)
+  private lazy val nff = Nff.compute(spark, ds)
 
   test("Mn = Mse + gamma*Mst on the union of supports") {
     val mse = SimMatrix.fromLocal(spark, Seq((0L, 1L, 0.8), (0L, 2L, 0.5)), 16, 16)
@@ -23,7 +23,7 @@ class NffDataAugSpec extends SparkSpec {
   }
 
   test("NFF produces all three matrices with sane sizes") {
-    assert(nff.mse.nnz == 300 * 10)
+    assert(nff.mse.nnz == 300 * Nff.Phi)
     assert(nff.mst.nnz > 0)
     assert(nff.mn.nnz >= nff.mse.nnz)
   }
@@ -103,7 +103,7 @@ class NffDataAugSpec extends SparkSpec {
 
   test("unknown entities reduce pseudo-seed count but not much precision") {
     val unk = KGGen.generate(spark, Datasets.tinyWithUnknowns())
-    val n = Nff.compute(spark, unk, phi = 10, theta = 0.5, gamma = 0.05)
+    val n = Nff.compute(spark, unk)
     val p = DataAug.pseudoSeedPairs(n.mn)
     val prec = DataAug.precision(p, unk.truthPairs)
     info(f"with unknowns: ${p.length} seeds, precision ${prec * 100}%.1f%%")
