@@ -50,7 +50,7 @@ class Table6Bench extends SparkSpec {
     }
 
     // cross-check one anchor against the model directly
-    val fp = MemModel.structChannel("RREA", Datasets.Ids15kEnFr.represented, 1)
+    val fp = MemModel.structChannel(MemModel.rrea, Datasets.Ids15kEnFr.represented, 1)
     assert(math.abs(fp.gpuGB - 4.07) < 0.7, s"RREA w/o partition @15K: ${fp.gpuGB}")
   }
 }

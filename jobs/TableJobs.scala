@@ -16,63 +16,42 @@ object JobSession {
       .getOrCreate()
 }
 
-/** Table 1 — dataset statistics. */
-object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table1")
-    println(Tables.renderTable1(Tables.table1(spark)))
-    spark.stop()
-  }
-}
+/** One table of the paper's evaluation section, by number.
+  * Usage: TableJob <1-6>
+  */
+object TableJob {
+  private val tables: Map[String, SparkSession => Unit] = Map(
+    // dataset statistics
+    "1" -> (spark => println(Tables.renderTable1(Tables.table1(spark)))),
+    // overall EA results on IDS15K/IDS100K (lite)
+    "2" -> (spark => println(Tables.renderEaRows(Tables.table2(spark)))),
+    // overall EA results on DBP1M (lite), supervised
+    "3" -> { spark =>
+      val (largeRows, oomRows) = Tables.table3(spark)
+      println(Tables.renderEaRows(largeRows))
+      println("\nCompetitors at DBP1M scale (memory model):")
+      println(Tables.renderEaRows(oomRows))
+    },
+    // unsupervised EA on DBP1M (lite) via name-based DA
+    "4" -> { spark =>
+      val (rows, stats) = Tables.table4(spark)
+      stats.foreach(s =>
+        println(f"${s.dataset}: DA generated ${s.pseudoSeeds} pseudo seeds, precision ${s.precision * 100}%.2f%%"))
+      println(Tables.renderEaRows(rows))
+    },
+    // percentage of equivalent entities co-located per mini-batch
+    "5" -> (spark => println(Tables.renderTable5(Tables.table5(spark)))),
+    // modeled GPU memory usage of LargeEA
+    "6" -> (_ => println(Tables.renderTable6(Tables.table6()))))
 
-/** Table 2 — overall EA results on IDS15K/IDS100K (lite). */
-object Table2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table2")
-    println(Tables.renderEaRows(Tables.table2(spark)))
-    spark.stop()
-  }
-}
-
-/** Table 3 — overall EA results on DBP1M (lite), supervised. */
-object Table3Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table3")
-    val (largeRows, oomRows) = Tables.table3(spark)
-    println(Tables.renderEaRows(largeRows))
-    println("\nCompetitors at DBP1M scale (memory model):")
-    println(Tables.renderEaRows(oomRows))
-    spark.stop()
-  }
-}
-
-/** Table 4 — unsupervised EA on DBP1M (lite) via name-based DA. */
-object Table4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table4")
-    val (rows, stats) = Tables.table4(spark)
-    stats.foreach(s =>
-      println(f"${s.dataset}: DA generated ${s.pseudoSeeds} pseudo seeds, precision ${s.precision * 100}%.2f%%"))
-    println(Tables.renderEaRows(rows))
-    spark.stop()
-  }
-}
-
-/** Table 5 — percentage of equivalent entities co-located per mini-batch. */
-object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table5")
-    println(Tables.renderTable5(Tables.table5(spark)))
-    spark.stop()
-  }
-}
-
-/** Table 6 — modeled GPU memory usage of LargeEA. */
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table6")
-    println(Tables.renderTable6(Tables.table6()))
-    spark.stop()
+  def main(args: Array[String]): Unit = args match {
+    case Array(n) if tables.contains(n) =>
+      val spark = JobSession.create(s"table$n")
+      tables(n)(spark)
+      spark.stop()
+    case _ =>
+      Console.err.println("usage: TableJob <1-6>")
+      sys.exit(2)
   }
 }
 

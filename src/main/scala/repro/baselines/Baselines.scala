@@ -2,7 +2,6 @@ package repro.baselines
 
 import org.apache.spark.sql.SparkSession
 import repro.embed.{PseudoBert, VecOps}
-import repro.eval.{EaScores, Metrics}
 import repro.kg.{EaDataset, Graph, KG}
 import repro.name.{Nff, Sens, Stns}
 import repro.sim.SimMatrix
@@ -13,21 +12,15 @@ import repro.partition.MiniBatches
   * the same substrates as LargeEA so accuracy/cost comparisons are
   * apples-to-apples. All run *full-graph* (K = 1, no partition) — their
   * scalability failure on large inputs is reproduced by the analytic
-  * memory model (repro.memmodel.MemModel), which marks them OOM.
+  * memory model (repro.memmodel.MemModel), which marks them OOM. Each
+  * returns the similarity matrix it builds; `repro.exp.Tables` times and
+  * scores it.
   */
 object Baselines {
-
-  final case class RunResult(scores: EaScores, seconds: Double)
 
   private val BertIntTopK = 150  // BERT-INT's coarse candidates, re-scored by interaction
   private val RdgcnLayers = 2
   private val RdgcnSelfWeight = 2.0f // RDGCN-lite's weight of a vertex's own vector
-
-  private def timeIt[T](f: => T): (T, Double) = {
-    val t0 = System.nanoTime()
-    val r = f
-    (r, (System.nanoTime() - t0) / 1e9)
-  }
 
   /** Full-graph structure-only run of a GnnEA config (no partition):
     * shared by GCN-Align and RREA.
@@ -43,29 +36,21 @@ object Baselines {
   /** GCN-Align (Wang et al. 2018): vanilla GCN over the full graph,
     * structure features only (the variant LargeEA-G builds on).
     */
-  def gcnAlign(spark: SparkSession, ds: EaDataset): RunResult = structureOnly(spark, ds, GnnEA.Gcn)
+  def gcnAlign(spark: SparkSession, ds: EaDataset): SimMatrix = fullGraphStructure(spark, ds, GnnEA.Gcn)
 
   /** RREA (Mao et al. 2020): relational-reflection GNN over the full graph,
     * structure features only (the variant LargeEA-R builds on).
     */
-  def rrea(spark: SparkSession, ds: EaDataset): RunResult = structureOnly(spark, ds, GnnEA.Rrea)
-
-  private def structureOnly(spark: SparkSession, ds: EaDataset, cfg: GnnEA.Config): RunResult = {
-    val (sim, sec) = timeIt(fullGraphStructure(spark, ds, cfg))
-    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
-  }
+  def rrea(spark: SparkSession, ds: EaDataset): SimMatrix = fullGraphStructure(spark, ds, GnnEA.Rrea)
 
   /** MultiKE (Zhang et al. 2019): multi-view model — a name view and a
     * structure view combined with equal weights. No string channel, no DA.
     */
-  def multiKe(spark: SparkSession, ds: EaDataset): RunResult = {
-    val (sim, sec) = timeIt {
-      val bert = new PseudoBert(ds.lexicon)
-      val mse = Sens.similarity(spark, bert.embedAll(ds.source.namesArray),
-                                bert.embedAll(ds.target.namesArray), Nff.Phi)
-      fullGraphStructure(spark, ds, GnnEA.Gcn).plus(mse)
-    }
-    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
+  def multiKe(spark: SparkSession, ds: EaDataset): SimMatrix = {
+    val bert = new PseudoBert(ds.lexicon)
+    val mse = Sens.similarity(spark, bert.embedAll(ds.source.namesArray),
+                              bert.embedAll(ds.target.namesArray), Nff.Phi)
+    fullGraphStructure(spark, ds, GnnEA.Gcn).plus(mse)
   }
 
   /** RDGCN (Wu et al. 2019): entity embeddings *initialized from names*,
@@ -74,13 +59,10 @@ object Baselines {
     * shared GNN step `GnnEA.layer`, unit-normalized, with plain degree
     * weights 1/√(d_h·d_t); Manhattan scoring as in SENS.
     */
-  def rdgcn(spark: SparkSession, ds: EaDataset): RunResult = {
-    val (sim, sec) = timeIt {
-      val bert = new PseudoBert(ds.lexicon)
-      def embed(kg: KG) = rdgcnPropagate(bert.embedAll(kg.namesArray), kg.triplesArray)
-      Sens.similarity(spark, embed(ds.source), embed(ds.target), Nff.Phi)
-    }
-    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
+  def rdgcn(spark: SparkSession, ds: EaDataset): SimMatrix = {
+    val bert = new PseudoBert(ds.lexicon)
+    def embed(kg: KG) = rdgcnPropagate(bert.embedAll(kg.namesArray), kg.triplesArray)
+    Sens.similarity(spark, embed(ds.source), embed(ds.target), Nff.Phi)
   }
 
   /** RDGCN-lite's layers over one KG, from the name embeddings `h0`. */
@@ -98,35 +80,25 @@ object Baselines {
     * pass over candidates is what makes it both the accuracy leader and
     * the most expensive name-based method.
     */
-  def bertInt(spark: SparkSession, ds: EaDataset): RunResult = {
-    val (sim, sec) = timeIt {
-      val bert = new PseudoBert(ds.lexicon)
-      val srcNames = ds.source.namesArray
-      val tgtNames = ds.target.namesArray
-      val coarse = Sens.similarity(spark, bert.embedAll(srcNames), bert.embedAll(tgtNames), BertIntTopK)
+  def bertInt(spark: SparkSession, ds: EaDataset): SimMatrix = {
+    val bert = new PseudoBert(ds.lexicon)
+    val srcNames = ds.source.namesArray
+    val tgtNames = ds.target.namesArray
+    val coarse = Sens.similarity(spark, bert.embedAll(srcNames), bert.embedAll(tgtNames), BertIntTopK)
+    val bc = spark.sparkContext.broadcast((bert, srcNames, tgtNames, coarse.rowPtr, coarse.tgt, coarse.score))
 
-      val sc = spark.sparkContext
-      val bcBert = sc.broadcast(bert)
-      val bcSrc = sc.broadcast(srcNames)
-      val bcTgt = sc.broadcast(tgtNames)
-      val bcPtr = sc.broadcast(coarse.rowPtr)
-      val bcCand = sc.broadcast(coarse.tgt)
-      val bcScore = sc.broadcast(coarse.score)
-
-      SimMatrix.tabulate(spark, coarse.numRows, coarse.numCols) { s =>
-        val b = bcBert.value
-        val sToks = b.tokenize(bcSrc.value(s)).map(b.tokenVector)
-        val cells = bcPtr.value(s) until bcPtr.value(s + 1)
-        (cells.map(bcCand.value).toArray, cells.map { i =>
-          val t = bcCand.value(i)
-          val tToks = b.tokenize(bcTgt.value(t)).map(b.tokenVector)
-          val inter = interaction(sToks, tToks)
-          val strSim = Stns.levenshteinSim(bcSrc.value(s), bcTgt.value(t))
-          0.2 * bcScore.value(i) + inter + 0.1 * strSim
-        }.toArray)
-      }
+    SimMatrix.tabulate(spark, coarse.numRows, coarse.numCols) { s =>
+      val (b, srcs, tgts, ptr, cand, score) = bc.value
+      val sToks = b.tokenize(srcs(s)).map(b.tokenVector)
+      val cells = ptr(s) until ptr(s + 1)
+      (cells.map(cand).toArray, cells.map { i =>
+        val t = cand(i)
+        val tToks = b.tokenize(tgts(t)).map(b.tokenVector)
+        val inter = interaction(sToks, tToks)
+        val strSim = Stns.levenshteinSim(srcs(s), tgts(t))
+        0.2 * score(i) + inter + 0.1 * strSim
+      }.toArray)
     }
-    RunResult(Metrics.evaluate(sim, ds.testPairs), sec)
   }
 
   /** Symmetric token-interaction score: for each token on one side, the

@@ -82,17 +82,13 @@ object MemModel {
   def nameChannel(s: Scale): Footprint =
     Footprint(gpuBytes = 1.5e9 + 1600.0 * s.ents, ramBytes = 2e9 + 3000.0 * s.ents)
 
-  /** Structure channel with K mini-batches: the GPU holds one batch at a
+  /** Structure channel with K mini-batches, for the structure model's
+    * footprint `model` (`rrea` or `gcnAlign`): the GPU holds one batch at a
     * time, so the quadratic/linear terms shrink by K² / K. K = 1 is the
     * "w/o partition" column of Table 6.
     */
-  def structChannel(model: String, s: Scale, k: Int): Footprint = {
-    val batch = Scale(s.srcEnts / k, s.tgtEnts / k, s.srcTriples / k, s.tgtTriples / k)
-    val base = model match {
-      case "RREA" => rrea(batch)
-      case "GCN"  => gcnAlign(batch)
-      case other  => throw new IllegalArgumentException(s"unknown structure model: $other")
-    }
+  def structChannel(model: Scale => Footprint, s: Scale, k: Int): Footprint = {
+    val base = model(Scale(s.srcEnts / k, s.tgtEnts / k, s.srcTriples / k, s.tgtTriples / k))
     // fixed CUDA context / framework workspace per training run
     Footprint(base.gpuBytes + 0.2e9, base.ramBytes)
   }
@@ -100,7 +96,7 @@ object MemModel {
   /** Whole-pipeline LargeEA footprint: peak of its two channels (they run
     * sequentially; the GPU is released between phases).
     */
-  def largeEa(model: String, s: Scale, k: Int): Footprint = {
+  def largeEa(model: Scale => Footprint, s: Scale, k: Int): Footprint = {
     val nc = nameChannel(s)
     val sc = structChannel(model, s, k)
     Footprint(math.max(nc.gpuBytes, sc.gpuBytes), math.max(nc.ramBytes, sc.ramBytes))

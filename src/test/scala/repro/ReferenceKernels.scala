@@ -1,14 +1,15 @@
 package repro
 
 import repro.embed.VecOps
+import repro.exp.Tables
 import repro.structure.GnnEA
 import scala.collection.mutable
 
 /** The kernels that `VecOps.l1TopK`, the single-pass
   * `StructChannel.mutualNN`, the shared CSR propagation
-  * (`Graph.fromTriples` + `GnnEA.layer`), the CSR `Graph.fromEdges` and
-  * the one-pass `StructChannel.cut` replaced, kept verbatim as references
-  * for the equivalence properties.
+  * (`Graph.fromTriples` + `GnnEA.layer`), the CSR `Graph.fromEdges`, the
+  * one-pass `StructChannel.cut` and the one grid renderer of `Tables`
+  * replaced, kept verbatim as references for the equivalence properties.
   */
 object ReferenceKernels {
 
@@ -272,5 +273,44 @@ object ReferenceKernels {
       .filter(i => !skipS.contains(i) && bestT(i) >= 0 && bestS(bestT(i)) == i)
       .map(i => (i, bestT(i)))
       .toArray
+  }
+
+  /** The former `Tables.renderTable1`, verbatim. */
+  def renderTable1(rows: Seq[Tables.Table1Row]): String = {
+    val header = f"${"Dataset"}%-16s ${"#Entities"}%-16s ${"#Relations"}%-12s ${"#Triples"}%-16s"
+    val body = rows.map { r =>
+      f"${r.dataset}%-16s ${s"${r.srcEnts}-${r.tgtEnts}"}%-16s ${s"${r.srcRels}-${r.tgtRels}"}%-12s ${s"${r.srcTriples}-${r.tgtTriples}"}%-16s"
+    }
+    (header +: body).mkString("\n")
+  }
+
+  /** The former `Tables.renderEaRows`, verbatim. */
+  def renderEaRows(rows: Seq[Tables.EaRow]): String = {
+    val header = f"${"Dataset"}%-16s ${"Method"}%-22s ${"H@1"}%6s ${"H@5"}%6s ${"MRR"}%6s ${"Time(s)"}%9s ${"Mem."}%8s"
+    val body = rows.map { r =>
+      if (r.oom)
+        f"${r.dataset}%-16s ${r.method}%-22s ${"-"}%6s ${"-"}%6s ${"-"}%6s ${"-"}%9s ${"-"}%8s"
+      else
+        f"${r.dataset}%-16s ${r.method}%-22s ${r.h1 * 100}%6.1f ${r.h5 * 100}%6.1f ${r.mrr}%6.2f ${r.seconds}%9.1f ${r.mem}%8s"
+    }
+    (header +: body).mkString("\n")
+  }
+
+  /** The former `Tables.renderTable5`, verbatim. */
+  def renderTable5(rows: Seq[Tables.Table5Row]): String = {
+    val header = f"${"Dataset"}%-16s ${"Method"}%-10s ${"Dir"}%-7s ${"Total"}%7s ${"Train"}%7s ${"Test"}%7s"
+    val body = rows.map { r =>
+      f"${r.dataset}%-16s ${r.method}%-10s ${r.direction}%-7s ${r.total * 100}%7.1f ${r.train * 100}%7.1f ${r.test * 100}%7.1f"
+    }
+    (header +: body).mkString("\n")
+  }
+
+  /** The former `Tables.renderTable6`, verbatim. */
+  def renderTable6(rows: Seq[Tables.Table6Row]): String = {
+    val header = f"${"Dataset"}%-16s ${"Setting"}%-8s ${"NameCh"}%8s ${"LargeEA-R"}%14s ${"LargeEA-G"}%14s"
+    val body = rows.map { r =>
+      f"${r.dataset}%-16s ${r.setting}%-8s ${r.nameChannel}%8s ${r.structR}%14s ${r.structG}%14s"
+    }
+    (header +: body).mkString("\n")
   }
 }

@@ -3,45 +3,48 @@ package repro.baselines
 import org.scalacheck.{Gen, Prop}
 import repro.{PropHelper, ReferenceKernels, SparkSpec, TestGraphs}
 import repro.embed.VecOps
+import repro.eval.Metrics
 import repro.exp.Datasets
 import repro.kg.KGGen
+import repro.sim.SimMatrix
 
 /** Unit tests for the lite competitor implementations. */
 class BaselinesSpec extends SparkSpec with PropHelper {
 
   private lazy val ds = KGGen.generate(spark, Datasets.tiny())
 
-  private lazy val gcn = Baselines.gcnAlign(spark, ds)
-  private lazy val rrea = Baselines.rrea(spark, ds)
-  private lazy val multike = Baselines.multiKe(spark, ds)
-  private lazy val rdgcn = Baselines.rdgcn(spark, ds)
-  private lazy val bertInt = Baselines.bertInt(spark, ds)
+  private def score(sim: SimMatrix) = Metrics.evaluate(sim, ds.testPairs)
 
-  test("all baselines produce sane scores and positive time") {
+  private lazy val gcn = score(Baselines.gcnAlign(spark, ds))
+  private lazy val rrea = score(Baselines.rrea(spark, ds))
+  private lazy val multike = score(Baselines.multiKe(spark, ds))
+  private lazy val rdgcn = score(Baselines.rdgcn(spark, ds))
+  private lazy val bertInt = score(Baselines.bertInt(spark, ds))
+
+  test("all baselines produce sane scores") {
     Seq("GCNAlign" -> gcn, "RREA" -> rrea, "MultiKE" -> multike,
-        "RDGCN" -> rdgcn, "BERT-INT" -> bertInt).foreach { case (nm, r) =>
-      info(f"$nm: ${r.scores.pretty} in ${r.seconds}%.1fs")
-      assert(r.scores.hits1 >= 0 && r.scores.hits1 <= 1, nm)
-      assert(r.scores.hits5 >= r.scores.hits1, nm)
-      assert(r.seconds > 0, nm)
+        "RDGCN" -> rdgcn, "BERT-INT" -> bertInt).foreach { case (nm, s) =>
+      info(s"$nm: ${s.pretty}")
+      assert(s.hits1 >= 0 && s.hits1 <= 1, nm)
+      assert(s.hits5 >= s.hits1, nm)
     }
   }
 
   test("RREA beats GCNAlign (structure-model ordering, Table 2)") {
-    assert(rrea.scores.hits1 >= gcn.scores.hits1 - 0.02,
-      s"rrea=${rrea.scores.hits1} gcn=${gcn.scores.hits1}")
+    assert(rrea.hits1 >= gcn.hits1 - 0.02,
+      s"rrea=${rrea.hits1} gcn=${gcn.hits1}")
   }
 
   test("name-aware baselines beat structure-only GCNAlign (Table 2)") {
-    assert(multike.scores.hits1 > gcn.scores.hits1)
-    assert(rdgcn.scores.hits1 > gcn.scores.hits1)
-    assert(bertInt.scores.hits1 > gcn.scores.hits1)
+    assert(multike.hits1 > gcn.hits1)
+    assert(rdgcn.hits1 > gcn.hits1)
+    assert(bertInt.hits1 > gcn.hits1)
   }
 
   test("BERT-INT is the accuracy leader among competitors (Table 2)") {
-    val best = Seq(gcn, rrea, multike, rdgcn).map(_.scores.hits1).max
-    assert(bertInt.scores.hits1 >= best - 0.02,
-      s"bertInt=${bertInt.scores.hits1} bestOther=$best")
+    val best = Seq(gcn, rrea, multike, rdgcn).map(_.hits1).max
+    assert(bertInt.hits1 >= best - 0.02,
+      s"bertInt=${bertInt.hits1} bestOther=$best")
   }
 
   test("interaction score is 1 for identical token sets, less for disjoint") {

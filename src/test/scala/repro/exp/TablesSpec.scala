@@ -1,12 +1,20 @@
 package repro.exp
 
-import repro.SparkSpec
+import org.apache.spark.sql.SparkSession
+import org.scalacheck.{Arbitrary, Gen, Prop}
+import repro.{PropHelper, ReferenceKernels, SparkSpec}
+import repro.baselines.Baselines
+import repro.eval.Metrics
+import repro.kg.EaDataset
 import repro.largeea.LargeEA
 import repro.memmodel.MemModel
+import repro.sim.SimMatrix
 import repro.structure.GnnEA
 
 /** Unit tests for the table harness (full-scale runs live in bench/). */
-class TablesSpec extends SparkSpec {
+class TablesSpec extends SparkSpec with PropHelper {
+
+  private val tinyK3 = Datasets.Spec("tiny-k3", Datasets.tiny(), k = 3, MemModel.Scale(300, 300, 1000, 1000))
 
   test("dataset registry has the paper's six datasets with paper K values") {
     assert(Datasets.all.map(_.key) == Seq(
@@ -70,13 +78,14 @@ class TablesSpec extends SparkSpec {
   }
 
   test("largeEaVariants runs each variant as a direct LargeEA.run, with every phase timed") {
-    val spec = Datasets.Spec("tiny-k3", Datasets.tiny(), k = 3, MemModel.Scale(300, 300, 1000, 1000))
+    val spec = tinyK3
     val fwd = Datasets.get(spark, spec)
     val variants = Tables.largeEaVariants(spark, spec)
-    assert(variants.map(v => (v._1, v._2)) == Seq(
-      ("LargeEA-G EN->L", GnnEA.Gcn), ("LargeEA-G L->EN", GnnEA.Gcn),
-      ("LargeEA-R EN->L", GnnEA.Rrea), ("LargeEA-R L->EN", GnnEA.Rrea)))
-    variants.foreach { case (method, model, res) =>
+    val (g, r) = (MemModel.gcnAlign(tinyK3.represented), MemModel.rrea(tinyK3.represented))
+    assert(variants.map(v => (v._1, v._2, v._3(tinyK3.represented))) == Seq(
+      ("LargeEA-G EN->L", GnnEA.Gcn, g), ("LargeEA-G L->EN", GnnEA.Gcn, g),
+      ("LargeEA-R EN->L", GnnEA.Rrea, r), ("LargeEA-R L->EN", GnnEA.Rrea, r)))
+    variants.foreach { case (method, model, _, res) =>
       val ds = if (method.endsWith("EN->L")) fwd else fwd.reversed
       val direct = LargeEA.run(spark, ds, LargeEA.Config(model = model, k = spec.k))
       assert(res.scores == direct.scores, method)
@@ -87,5 +96,49 @@ class TablesSpec extends SparkSpec {
       assert(Set("name", "dataAug", "partition", "structTrain", "fusion", "eval").subsetOf(res.timings.keySet),
         s"$method: missing phases in ${res.timings.keySet}")
     }
+  }
+
+  test("table2ForSpec scores each competitor's own matrix, and every row takes time") {
+    val ds = Datasets.get(spark, tinyK3)
+    val rows = Tables.table2ForSpec(spark, tinyK3)
+    val competitors = Seq[(String, (SparkSession, EaDataset) => SimMatrix)](
+      "GCNAlign" -> Baselines.gcnAlign, "MultiKE" -> Baselines.multiKe, "RDGCN" -> Baselines.rdgcn,
+      "RREA" -> Baselines.rrea, "BERT-INT" -> Baselines.bertInt)
+    assert(rows.map(_.method) == competitors.map(_._1) ++ Seq(
+      "LargeEA-G EN->L", "LargeEA-G L->EN", "LargeEA-R EN->L", "LargeEA-R L->EN"))
+    assert(rows.forall(!_.oom), "nothing is OOM at the tiny scale")
+    competitors.foreach { case (name, run) =>
+      val s = Metrics.evaluate(run(spark, ds), ds.testPairs)
+      val r = rows.find(_.method == name).get
+      assert((r.h1, r.h5, r.mrr) == ((s.hits1, s.hits5, s.mrr)), name)
+    }
+    rows.foreach(r => assert(r.seconds > 0, r.method))
+  }
+
+  test("property: the grid renderer prints all four tables byte for byte as the former renderers did") {
+    // short and long cells: asciiPrintableStr grows past every column width
+    val str = Gen.oneOf(Gen.alphaNumStr.map(_.take(5)), Gen.asciiPrintableStr)
+    val num = Gen.oneOf(Gen.choose(0.0, 1.0), Gen.choose(-1e12, 1e12),
+      Gen.oneOf(0.0, -0.0, 0.0005, 0.25, 1.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+    val long = Gen.oneOf(Gen.choose(0L, 99999L), Arbitrary.arbitrary[Long])
+    val t1 = for (d <- str; n <- Gen.listOfN(6, long))
+      yield Tables.Table1Row(d, n(0), n(1), n(2), n(3), n(4), n(5))
+    val ea = for {
+      d <- str; m <- str; h1 <- num; h5 <- num; mrr <- num; secs <- num; mem <- str
+      oom <- Gen.oneOf(true, false)
+    } yield Tables.EaRow(d, m, h1, h5, mrr, secs, mem, oom)
+    val t5 = for (d <- str; m <- str; dir <- str; total <- num; train <- num; test <- num)
+      yield Tables.Table5Row(d, m, dir, total, train, test)
+    val t6 = for (d <- str; set <- str; nc <- str; r <- str; g <- str) yield Tables.Table6Row(d, set, nc, r, g)
+    assert(Tables.renderTable1(Nil) == ReferenceKernels.renderTable1(Nil))
+    assert(Tables.renderEaRows(Nil) == ReferenceKernels.renderEaRows(Nil))
+    assert(Tables.renderTable5(Nil) == ReferenceKernels.renderTable5(Nil))
+    assert(Tables.renderTable6(Nil) == ReferenceKernels.renderTable6(Nil))
+    checkProp(Prop.forAll(Gen.listOf(t1), Gen.listOf(ea), Gen.listOf(t5), Gen.listOf(t6)) { (a, b, c, d) =>
+      Tables.renderTable1(a) == ReferenceKernels.renderTable1(a) &&
+      Tables.renderEaRows(b) == ReferenceKernels.renderEaRows(b) &&
+      Tables.renderTable5(c) == ReferenceKernels.renderTable5(c) &&
+      Tables.renderTable6(d) == ReferenceKernels.renderTable6(d)
+    }, minSuccessful = 300)
   }
 }

@@ -57,28 +57,28 @@ class MemModelSpec extends AnyFunSuite {
 
   test("LargeEA fits the GPU everywhere (Tables 2/3)") {
     for (s <- Seq(ids15k, ids100k); k <- Seq(5, 10)) {
-      assert(!MemModel.largeEa("RREA", s, k).oom, s"RREA k=$k $s")
-      assert(!MemModel.largeEa("GCN", s, k).oom, s"GCN k=$k $s")
+      assert(!MemModel.largeEa(MemModel.rrea, s, k).oom, s"RREA k=$k $s")
+      assert(!MemModel.largeEa(MemModel.gcnAlign, s, k).oom, s"GCN k=$k $s")
     }
-    assert(!MemModel.largeEa("RREA", dbp1mFr, 20).oom)
-    assert(!MemModel.largeEa("GCN", dbp1mDe, 20).oom)
+    assert(!MemModel.largeEa(MemModel.rrea, dbp1mFr, 20).oom)
+    assert(!MemModel.largeEa(MemModel.gcnAlign, dbp1mDe, 20).oom)
   }
 
   test("LargeEA saves large factors of memory vs BERT-INT (paper: up to 9x)") {
-    val le = MemModel.largeEa("RREA", ids15k, 5).gpuGB
+    val le = MemModel.largeEa(MemModel.rrea, ids15k, 5).gpuGB
     val bi = MemModel.bertInt(ids15k).gpuGB
     assert(bi / le >= 5, s"saving factor ${bi / le}")
   }
 
   test("partitioning shrinks the structure channel (Table 6 CPS vs w/o p.)") {
-    val withK = MemModel.structChannel("RREA", ids15k, 5)
-    val noPart = MemModel.structChannel("RREA", ids15k, 1)
+    val withK = MemModel.structChannel(MemModel.rrea, ids15k, 5)
+    val noPart = MemModel.structChannel(MemModel.rrea, ids15k, 1)
     assert(withK.gpuBytes < noPart.gpuBytes / 2)
   }
 
   test("structure channel w/o partition is OOM at 100K for RREA (Table 6 '-')") {
-    assert(MemModel.structChannel("RREA", ids100k, 1).oom)
-    assert(!MemModel.structChannel("RREA", ids100k, 10).oom)
+    assert(MemModel.structChannel(MemModel.rrea, ids100k, 1).oom)
+    assert(!MemModel.structChannel(MemModel.rrea, ids100k, 10).oom)
   }
 
   test("name channel near its anchors (1.54G @15K, ~1.7G @100K)") {
@@ -92,9 +92,5 @@ class MemModelSpec extends AnyFunSuite {
     assert(MemModel.Footprint(1.5e9, 0).prettyGpu == "1.50G")
     assert(MemModel.Footprint(25e9, 0).prettyGpu == "-")
     assert(MemModel.Footprint(1e9, 200e9).oom)
-  }
-
-  test("unknown structure model throws") {
-    intercept[IllegalArgumentException](MemModel.structChannel("LSTM", ids15k, 2))
   }
 }
