@@ -1,5 +1,6 @@
 package repro.embed
 
+import scala.collection.parallel.CollectionConverters._
 import scala.util.hashing.MurmurHash3
 
 /** Deterministic multilingual token embedder — the BERT substitute for SENS.
@@ -50,6 +51,6 @@ final class PseudoBert(lexicon: Map[String, String], dim: Int = 64) extends Seri
     VecOps.normalize(out)
   }
 
-  /** Embed a whole name array (index-aligned). */
-  def embedAll(names: Array[String]): Array[Array[Float]] = names.map(embed)
+  /** Embed a whole name array (index-aligned), the names in parallel. */
+  def embedAll(names: Array[String]): Array[Array[Float]] = names.par.map(embed).toArray
 }

@@ -130,10 +130,14 @@ object VecOps {
 
 /** Equal-length targets for the exact L1 kernel: the rows laid end to end as
   * `Float`s, next to an `Int` copy `q = rint(x·S)`, built once per target
-  * matrix. `S` is the largest power of two with `|rint(M·S)| <= qMax`, where
-  * `M` is the largest finite `|x|` among the targets and the rows to be
-  * scored, and `qMax = (2³¹ − 1) / (2·dim)`, so a sum of `dim` terms
-  * `|q_row − q_t|` cannot overflow.
+  * matrix. The `Int` copy is stored by dimension in blocks of `Block`
+  * targets (the last block is shorter): `cols(b·dim + d)` holds value `d`
+  * of the targets in block `b`, so the filter's inner loop runs over one
+  * array per dimension and C2 vectorizes it. `S` is the largest power of
+  * two with `|rint(M·S)| <= qMax`, where `M` is the largest finite `|x|`
+  * among the targets and the rows to be scored, and
+  * `qMax = (2³¹ − 1) / (2·dim)`, so a sum of `dim` terms `|q_row − q_t|`
+  * cannot overflow.
   *
   * Why the filter is exact: per value `|q − S·x| <= 1/2`, so the filter
   * value `Q = Σ |q_row − q_t|` is within `dim` of `S·D`, where `D` is the
@@ -148,44 +152,42 @@ final class L1Targets private (
     val dim: Int,
     private val flat: Array[Float],
     private val scale: Double,
-    private val qFlat: Array[Int],
-    private val exact: Array[Boolean]) extends Serializable {
+    private val cols: Array[Array[Int]],
+    private val exactIds: Array[Int]) extends Serializable {
 
-  private val qMax = L1Targets.qMax(dim)
-
-  /** `q = rint(x·S)` of `v`'s values into `out` from `at`; false when one is
-    * not finite or past `qMax` (`x·S` is exact in `Double`).
-    */
-  private def quantize(v: Array[Float], out: Array[Int], at: Int): Boolean = {
-    var d = 0
-    while (d < v.length) {
-      val x = math.rint(v(d) * scale)
-      if (!(math.abs(x) <= qMax)) return false
-      out(at + d) = x.toInt
-      d += 1
-    }
-    true
+  /** The `Int` copy of `v` at this scale; None on the exact path. */
+  private[embed] def quantized(v: Array[Float]): Option[Array[Int]] = {
+    require(v.length == dim, s"vector length ${v.length} is not the target length $dim")
+    val q = new Array[Int](dim)
+    if (L1Targets.quantize(v, 0, dim, scale, q)) Some(q) else None
   }
 
   /** Pass 1: `out(t)` = the filter value `Q` of `row` and target `t`, or −1
-    * for a target (or every target, for a row) on the exact path.
+    * for a target (or every target, for a row) on the exact path. Each
+    * block sums its columns into `acc`, one dimension at a time.
     */
   def filter(row: Array[Float], out: Array[Int]): Unit = {
     require(row.length == dim, s"row length ${row.length} is not the target length $dim")
     val qr = new Array[Int](dim)
-    if (dim == 0 || !quantize(row, qr, 0)) { java.util.Arrays.fill(out, 0, n, -1); return }
-    var t = 0
-    while (t < n) {
-      if (exact(t)) out(t) = -1
-      else {
-        val o = t * dim
-        var s = 0
-        var d = 0
-        while (d < dim) { s += math.abs(qr(d) - qFlat(o + d)); d += 1 }
-        out(t) = s
+    if (dim == 0 || !L1Targets.quantize(row, 0, dim, scale, qr)) { java.util.Arrays.fill(out, 0, n, -1); return }
+    val acc = new Array[Int](math.min(n, L1Targets.Block))
+    val blocks = cols.length / dim
+    var b = 0
+    while (b < blocks) {
+      java.util.Arrays.fill(acc, 0)
+      var d = 0
+      while (d < dim) {
+        val c = cols(b * dim + d)
+        val x = qr(d)
+        var j = 0
+        while (j < c.length) { acc(j) += java.lang.Math.abs(x - c(j)); j += 1 }
+        d += 1
       }
-      t += 1
+      System.arraycopy(acc, 0, out, b * L1Targets.Block, cols(b * dim).length)
+      b += 1
     }
+    var e = 0
+    while (e < exactIds.length) { out(exactIds(e)) = -1; e += 1 }
   }
 
   /** `out(j) = manhattanSim(row, target cand(j))` for `j < out.length`.
@@ -239,17 +241,28 @@ final class L1Targets private (
     * smallest filter values of pass 1 in `q`; `Int.MaxValue` when there are
     * fewer than k, or when a target takes the exact path. Without one, no
     * score is NaN, so scores are totally ordered and a target that k others
-    * beat is in no top k, whatever else is offered.
+    * beat is in no top k, whatever else is offered. The k smallest are kept
+    * in a max-heap whose root is the k-th smallest so far.
     */
   def kthCut(q: Array[Int], k: Int): Int = {
-    val smallest = new TopK(k) // as scores -Q
-    var t = 0
+    require(k >= 0, s"k must be >= 0, got $k")
+    if (k == 0 || q.length < k) return Int.MaxValue
+    val heap = java.util.Arrays.copyOf(q, k)
+    var t = k - 1
+    while (t >= 0) { if (heap(t) < 0) return Int.MaxValue; L1Targets.siftDown(heap, t); t -= 1 }
+    var kth = heap(0)
+    t = k
     while (t < q.length) {
-      if (q(t) < 0) return Int.MaxValue
-      smallest.offer(-q(t).toDouble, t)
+      val x = q(t)
+      if (x < kth) {
+        if (x < 0) return Int.MaxValue
+        heap(0) = x
+        L1Targets.siftDown(heap, 0)
+        kth = heap(0)
+      }
       t += 1
     }
-    if (smallest.worst.isNaN) Int.MaxValue else cut(floorScore(-smallest.worst.toInt))
+    cut(floorScore(kth))
   }
 
   /** A lower bound on the score of every non-exact target with `Q <= q`:
@@ -268,9 +281,41 @@ object L1Targets {
   /** The largest `|q|` a value may take: `dim` terms of `|q_row − q_t|` sum below 2³¹. */
   private def qMax(dim: Int): Int = if (dim == 0) 0 else Int.MaxValue / (2 * dim)
 
+  /** Targets per block of the `Int` copy: the filter's 4 KiB `acc` stays in the L1 cache. */
+  private[embed] val Block = 1024
+
+  /** Moves `heap(from)` down until `heap` is a max-heap below `from`. */
+  private def siftDown(heap: Array[Int], from: Int): Unit = {
+    val x = heap(from)
+    var p = from
+    var c = 2 * p + 1
+    while (c < heap.length) {
+      if (c + 1 < heap.length && heap(c + 1) > heap(c)) c += 1
+      if (heap(c) <= x) c = heap.length
+      else { heap(p) = heap(c); p = c; c = 2 * p + 1 }
+    }
+    heap(p) = x
+  }
+
+  /** `q = rint(x·S)` of `v(from until from + dim)` into `out`; false when
+    * a value is not finite or past `qMax` (`x·S` is exact in `Double`).
+    */
+  private def quantize(v: Array[Float], from: Int, dim: Int, scale: Double, out: Array[Int]): Boolean = {
+    val max = qMax(dim)
+    var d = 0
+    while (d < dim) {
+      val x = math.rint(v(from + d) * scale)
+      if (!(math.abs(x) <= max)) return false
+      out(d) = x.toInt
+      d += 1
+    }
+    true
+  }
+
   /** `targets` quantized at a scale that also fits the values of `rows`
     * (the rows to be scored; others may take the exact path). Throws
-    * IllegalArgumentException when the vectors differ in length.
+    * IllegalArgumentException when the vectors differ in length. Column
+    * values of a target on the exact path stay 0.
     */
   def apply(targets: Array[Array[Float]], rows: Array[Array[Float]]): L1Targets = {
     val dim = targets.headOption.orElse(rows.headOption).fold(0)(_.length)
@@ -282,10 +327,15 @@ object L1Targets {
       while (d < v.length) { val x = math.abs(v(d)); if (x > m && x <= Float.MaxValue) m = x; d += 1 }
     }
     val scale = if (m == 0) 1.0 else math.scalb(1.0, math.getExponent(qMax(dim) / m))
-    val q = new Array[Int](flat.length)
-    val l = new L1Targets(targets.length, dim, flat, scale, q, new Array[Boolean](targets.length))
-    targets.indices.foreach(t => if (!l.quantize(targets(t), q, t * dim)) l.exact(t) = true)
-    l
+    val n = targets.length
+    val cols = Array.tabulate((n + Block - 1) / Block * dim)(c => new Array[Int](math.min(Block, n - c / dim * Block)))
+    val exact = Array.newBuilder[Int]
+    val q = new Array[Int](dim)
+    for (t <- 0 until n) {
+      if (!quantize(flat, t * dim, dim, scale, q)) exact += t
+      else for (d <- 0 until dim) cols(t / Block * dim + d)(t % Block) = q(d)
+    }
+    new L1Targets(n, dim, flat, scale, cols, exact.result())
   }
 }
 

@@ -5,8 +5,8 @@ import repro.exp.Tables
 import repro.structure.GnnEA
 import scala.collection.mutable
 
-/** The kernels that `VecOps.l1TopK`, the single-pass
-  * `StructChannel.mutualNN`, the shared CSR propagation
+/** The kernels that `VecOps.l1TopK`, the blocked `L1Targets.filter`, the
+  * single-pass `StructChannel.mutualNN`, the shared CSR propagation
   * (`Graph.fromTriples` + `GnnEA.layer`), the CSR `Graph.fromEdges`, the
   * one-pass `StructChannel.cut` and the one grid renderer of `Tables`
   * replaced, kept verbatim as references for the equivalence properties.
@@ -230,6 +230,30 @@ object ReferenceKernels {
       }
     }
     Array.fill(heap.size)(heap.poll()).reverse.map { case (sim, t) => (t, sim) }
+  }
+
+  /** The former row-major `L1Targets.filter`, verbatim but for taking the
+    * row's `Int` copy (None on the exact path), the targets' `Int` copies
+    * laid end to end and their exact-path flags, and returning `out`.
+    */
+  def l1Filter(row: Option[Array[Int]], qFlat: Array[Int], exact: Array[Boolean], dim: Int): Array[Int] = {
+    val n = exact.length
+    val out = new Array[Int](n)
+    if (dim == 0 || row.isEmpty) { java.util.Arrays.fill(out, 0, n, -1); return out }
+    val qr = row.get
+    var t = 0
+    while (t < n) {
+      if (exact(t)) out(t) = -1
+      else {
+        val o = t * dim
+        var s = 0
+        var d = 0
+        while (d < dim) { s += math.abs(qr(d) - qFlat(o + d)); d += 1 }
+        out(t) = s
+      }
+      t += 1
+    }
+    out
   }
 
   /** The former two-pass mutual nearest neighbours: every pair is scored

@@ -59,6 +59,13 @@ class PseudoBertSpec extends AnyFunSuite {
     assert(clean.toSeq != typo.toSeq)
   }
 
+  test("embedAll is index-aligned and bit-equal to embedding one name at a time") {
+    val names = Array.tabulate(5000)(i => s"kamoti t$i quamoté ${i % 37}" + (if (i % 11 == 0) "" else " velsue"))
+    val bits = (v: Array[Float]) => v.map(java.lang.Float.floatToRawIntBits).toSeq
+    assert(bert.embedAll(names).map(bits).toSeq == names.map(n => bits(bert.embed(n))).toSeq)
+    assert(bert.embedAll(Array.empty).isEmpty)
+  }
+
   test("empty name embeds to the zero vector") {
     assert(bert.embed("").forall(_ == 0f))
   }

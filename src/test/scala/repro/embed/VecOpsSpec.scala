@@ -239,6 +239,49 @@ class VecOpsSpec extends AnyFunSuite with PropHelper {
     }, minSuccessful = 1000)
   }
 
+  test("the blocked filter equals the row-major Int reduction at block edges and on the exact path") {
+    val b = L1Targets.Block
+    for (n <- Seq(0, 1, b - 1, b, b + 1, 3 * b + 7); dim <- Seq(1, 48, 64, 192)) {
+      val tv = Array.tabulate(n)(t => VecOps.hashGaussian(n * 1000L + t, dim))
+      val row = VecOps.hashGaussian(-1L - dim, dim)
+      // non-finite values in the first block, a middle one and the short last one
+      val exact = if (n < 3) Seq.empty else Seq(0, n / 2, n - 1 - n % b / 2)
+      exact.zip(Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)).foreach { case (t, x) => tv(t)(dim / 2) = x }
+      val targets = L1Targets(tv, Array(row))
+      val qt = tv.map(targets.quantized)
+      val qFlat = qt.flatMap(_.getOrElse(new Array[Int](dim)))
+      for (r <- Seq(row, row.map(_ * 1e7f))) { // the second row is past the scale: the exact path
+        val out = Array.fill(n)(7)
+        targets.filter(r, out)
+        val expect = repro.ReferenceKernels.l1Filter(targets.quantized(r), qFlat, qt.map(_.isEmpty), dim)
+        assert(out.toSeq == expect.toSeq, s"n = $n, dim = $dim")
+        assert(exact.forall(out(_) == -1) && (r eq row) == targets.quantized(r).isDefined)
+      }
+    }
+  }
+
+  test("property: kthCut is the cut of the k-th smallest filter value, by sort") {
+    val gen = for {
+      dim  <- Gen.choose(1, 200)
+      n    <- Gen.oneOf(Gen.choose(0, 12), Gen.choose(100, 2000))
+      top  <- Gen.oneOf(3, 1000, Int.MaxValue / (2 * dim) * dim)
+      q    <- Gen.containerOfN[Array, Int](n, Gen.choose(0, top))
+      at   <- Gen.frequency(4 -> Gen.const(-1), 1 -> Gen.choose(0, math.max(0, n - 1)))
+      k    <- Gen.oneOf(Gen.choose(0, 3), Gen.choose(0, n + 2), Gen.const(50))
+    } yield {
+      if (at >= 0 && n > 0) q(at) = -1 // an exact-path target
+      (dim, q, k)
+    }
+    checkProp(Prop.forAll(gen) { case (dim, q, k) =>
+      val targets = L1Targets(Array(Array.fill(dim)(1f)), Array.empty)
+      val expect =
+        if (k == 0 || q.length < k || q.exists(_ < 0)) Int.MaxValue
+        else targets.cut(targets.floorScore(q.sorted.apply(k - 1)))
+      targets.kthCut(q, k) == expect
+    }, minSuccessful = 300)
+    intercept[IllegalArgumentException](L1Targets(Array(Array(1f)), Array.empty).kthCut(Array(1), -1))
+  }
+
   test("the filter rescores under 10 % of 2,000 x 2,000 unit-norm 64-dim rows at k = 50") {
     def vecs(n: Int, salt: Long) = Array.tabulate(n)(i => VecOps.normalize(VecOps.hashGaussian(salt + i, 64)))
     val (src, tgt) = (vecs(2000, 1), vecs(2000, 1 << 20))
