@@ -1,7 +1,5 @@
 package repro.kg
 
-import scala.collection.mutable
-
 /** An undirected weighted graph in CSR form, the one graph type of the
   * program: METIS and METIS-CPS partition it, and the GNN propagates over
   * it. The neighbours of vertex `u` are `nbr(ptr(u) until ptr(u + 1))`,
@@ -37,36 +35,74 @@ object Graph {
     new Graph(ptr, nbr, w)
   }
 
-  /** The graph of `n` vertices over the (u, v, w) edges: each edge is stored
-    * at both ends, self-loops are dropped, parallel edges (in either
-    * orientation) become one edge with the summed weight, and each vertex's
-    * neighbours are sorted by id. Weights are summed in input order, which
-    * is exact for the integral weights METIS-CPS uses. So the graph does not
-    * depend on how the edges were listed.
+  /** The graph of `n` vertices over the edges (`us(e)`, `vs(e)`, `ws(e)`):
+    * each edge is stored at both ends, self-loops are dropped, parallel
+    * edges (in either orientation) become one edge with the summed weight,
+    * and each vertex's neighbours are sorted by id. The two directed copies
+    * of every edge are laid out in input order and put in (vertex,
+    * neighbour) order by two stable counting sorts, by neighbour and then by
+    * vertex, so the build is linear in n plus the edges. A merged weight is
+    * `0.0` plus its edges' weights in input order, which is exact for the
+    * integral weights METIS-CPS uses; so the graph does not depend on how
+    * the edges were listed. Throws IllegalArgumentException unless the
+    * three arrays have one length and every endpoint is in [0, n).
     */
-  def fromEdges(n: Int, edges: Iterable[(Int, Int, Double)]): Graph = {
-    def key(u: Int, v: Int): Long = u.toLong << 32 | v
-    // both ends of every edge as (vertex, neighbour) keys, sorted and deduplicated
-    val both = new mutable.ArrayBuilder.ofLong
-    edges.foreach { case (u, v, _) =>
+  def fromEdges(n: Int, us: Array[Int], vs: Array[Int], ws: Array[Double]): Graph = {
+    require(us.length == vs.length && vs.length == ws.length,
+      s"edge arrays have lengths ${us.length}, ${vs.length} and ${ws.length}")
+    // deg(x): the directed copies with x as vertex, which are also those with x as neighbour
+    val deg = new Array[Int](n + 1)
+    var e = 0
+    while (e < us.length) {
+      val u = us(e); val v = vs(e)
       require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u, $v) has an endpoint outside [0, $n)")
-      if (u != v) { both += key(u, v); both += key(v, u) }
+      if (u != v) { deg(u + 1) += 1; deg(v + 1) += 1 }
+      e += 1
     }
-    val sorted = both.result()
-    java.util.Arrays.sort(sorted)
-    var m = 0
-    sorted.foreach(e => if (m == 0 || sorted(m - 1) != e) { sorted(m) = e; m += 1 })
-    val keys = java.util.Arrays.copyOf(sorted, m)
-    val w = new Array[Double](m)
-    edges.foreach { case (u, v, x) =>
+    var x = 0
+    while (x < n) { deg(x + 1) += deg(x); x += 1 }
+    val start = deg // start(x) until start(x + 1): x's copies, in either sort
+    // sort 1: the copies by neighbour, in input order within one neighbour
+    val byNbrVertex = new Array[Int](start(n))
+    val byNbrW = new Array[Double](start(n))
+    val fill = java.util.Arrays.copyOf(start, n)
+    e = 0
+    while (e < us.length) {
+      val u = us(e); val v = vs(e)
       if (u != v) {
-        w(java.util.Arrays.binarySearch(keys, key(u, v))) += x
-        w(java.util.Arrays.binarySearch(keys, key(v, u))) += x
+        byNbrVertex(fill(v)) = u; byNbrW(fill(v)) = ws(e); fill(v) += 1
+        byNbrVertex(fill(u)) = v; byNbrW(fill(u)) = ws(e); fill(u) += 1
       }
+      e += 1
     }
+    // sort 2: stably by vertex, so by (vertex, neighbour), input order within a pair
+    val nbr = new Array[Int](start(n))
+    val w = new Array[Double](start(n))
+    System.arraycopy(start, 0, fill, 0, n)
+    var nb = 0
+    while (nb < n) {
+      var j = start(nb)
+      while (j < start(nb + 1)) {
+        val u = byNbrVertex(j)
+        nbr(fill(u)) = nb; w(fill(u)) = byNbrW(j); fill(u) += 1
+        j += 1
+      }
+      nb += 1
+    }
+    // merge each run of one (vertex, neighbour) pair in place, summing from 0.0
     val ptr = new Array[Int](n + 1)
-    keys.foreach(e => ptr((e >>> 32).toInt + 1) += 1)
-    (0 until n).foreach(u => ptr(u + 1) += ptr(u))
-    new Graph(ptr, keys.map(_.toInt), w)
+    var m = 0
+    x = 0
+    while (x < n) {
+      var j = start(x)
+      while (j < start(x + 1)) {
+        if (m > ptr(x) && nbr(m - 1) == nbr(j)) w(m - 1) += w(j)
+        else { nbr(m) = nbr(j); w(m) = 0.0 + w(j); m += 1 }
+        j += 1
+      }
+      ptr(x + 1) = m
+      x += 1
+    }
+    new Graph(ptr, java.util.Arrays.copyOf(nbr, m), java.util.Arrays.copyOf(w, m))
   }
 }

@@ -43,11 +43,18 @@ final class KG private (
     * local pass over `triplesArray`, so the order does not depend on how
     * the triples were stored or on any Spark setting.
     */
-  def undirectedEdges: Array[(Int, Int)] =
-    triplesArray
-      .collect { case (h, _, t) if h != t => math.min(h, t).toLong << 32 | math.max(h, t) }
-      .distinct.sorted
-      .map(e => ((e >>> 32).toInt, e.toInt))
+  def undirectedEdges: Array[(Int, Int)] = {
+    // (min, max) packed into one Long per non-loop triple, sorted, deduplicated in place
+    val keys = new Array[Long](triplesArray.count { case (h, _, t) => h != t })
+    var m = 0
+    triplesArray.foreach { case (h, _, t) =>
+      if (h != t) { keys(m) = math.min(h, t).toLong << 32 | math.max(h, t); m += 1 }
+    }
+    java.util.Arrays.sort(keys)
+    m = 0
+    keys.foreach(e => if (m == 0 || keys(m - 1) != e) { keys(m) = e; m += 1 })
+    Array.tabulate(m)(i => ((keys(i) >>> 32).toInt, keys(i).toInt))
+  }
 }
 
 object KG {

@@ -136,11 +136,22 @@ object Metis {
     }
     val cw = new Array[Int](next)
     vwgt.indices.foreach(i => cw(cmap(i)) += vwgt(i))
-    val edges = for {
-      u <- 0 until g.n
-      j <- g.ptr(u) until g.ptr(u + 1) if g.nbr(j) > u
-    } yield (cmap(u), cmap(g.nbr(j)), g.w(j))
-    (Graph.fromEdges(next, edges), cw, cmap)
+    // each fine edge once, by u ascending and then neighbour slot, with its coarse ends
+    val slots = g.ptr(g.n)
+    val us = new Array[Int](slots); val vs = new Array[Int](slots); val ws = new Array[Double](slots)
+    var e = 0
+    var u = 0
+    while (u < g.n) {
+      var j = g.ptr(u)
+      while (j < g.ptr(u + 1)) {
+        if (g.nbr(j) > u) { us(e) = cmap(u); vs(e) = cmap(g.nbr(j)); ws(e) = g.w(j); e += 1 }
+        j += 1
+      }
+      u += 1
+    }
+    val coarse = Graph.fromEdges(next,
+      java.util.Arrays.copyOf(us, e), java.util.Arrays.copyOf(vs, e), java.util.Arrays.copyOf(ws, e))
+    (coarse, cw, cmap)
   }
 
   /** Greedy region growing: BFS-grow k balanced regions from random seeds. */

@@ -39,7 +39,8 @@ object MetisCps extends PartitionStrategy {
     val rnd = new Random(seed)
 
     // -- step 1: METIS on the source KG ------------------------------------
-    val gs = Graph.fromEdges(nS, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
+    val (su, sv) = ds.source.undirectedEdges.unzip
+    val gs = Graph.fromEdges(nS, su, sv, Array.fill(su.length)(1.0))
     val srcPart = Metis.partition(gs, k, seed)
 
     // -- step 2: L_t^i — seed groups on the target side --------------------
@@ -55,20 +56,26 @@ object MetisCps extends PartitionStrategy {
       val hub = members(rnd.nextInt(members.length))
       members.foreach(m => if (m != hub) hubOf(m) = hub)
     }
-    val reweighted = ds.target.undirectedEdges.map { case (u, v) =>
+    // the target edges re-weighted, then the phase 1 virtual edges: the hub
+    // reaches every other member with weight w′
+    val (tu, tv) = ds.target.undirectedEdges.unzip
+    val spokes = Array.range(0, nT).filter(hubOf(_) >= 0)
+    val us = tu ++ spokes.map(hubOf)
+    val vs = tv ++ spokes
+    val ws = new Array[Double](us.length)
+    for (e <- tu.indices) {
+      val u = tu(e); val v = tv(e)
       val gu = groupOf(u); val gv = groupOf(v)
-      val w =
-        if (hubOf(u) == v || hubOf(v) == u) 0.0  // its virtual edge below adds w′
+      ws(e) =
+        if (hubOf(u) == v || hubOf(v) == u) 0.0  // its virtual edge adds w′
         else if (gu >= 0 && gu == gv) WPrime     // phase 1: inside CG^i
         else if (gu >= 0 && gv >= 0) 0.0         // phase 2: across groups
         else 1.0
-      (u, v, w)
     }
-    // phase 1 virtual edges: the hub reaches every other member with weight w′
-    val virtual = (0 until nT).collect { case m if hubOf(m) >= 0 => (hubOf(m), m, WPrime) }
+    java.util.Arrays.fill(ws, tu.length, ws.length, WPrime)
 
     // -- step 5: METIS on the re-weighted target graph ----------------------
-    val gt = Graph.fromEdges(nT, reweighted ++ virtual)
+    val gt = Graph.fromEdges(nT, us, vs, ws)
     val tgtRaw = Metis.partition(gt, k, seed + 1)
 
     // -- step 6: pair subgraphs by shared seed count -------------------------

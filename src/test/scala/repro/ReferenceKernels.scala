@@ -8,8 +8,9 @@ import scala.collection.mutable
 /** The kernels that `VecOps.l1TopK`, the blocked `L1Targets.filter`, the
   * single-pass `StructChannel.mutualNN`, the shared CSR propagation
   * (`Graph.fromTriples` + `GnnEA.layer`), the CSR `Graph.fromEdges`, the
-  * one-pass `StructChannel.cut` and the one grid renderer of `Tables`
-  * replaced, kept verbatim as references for the equivalence properties.
+  * primitive `KG.undirectedEdges`, the one-pass `StructChannel.cut` and
+  * the one grid renderer of `Tables` replaced, kept verbatim as references
+  * for the equivalence properties.
   */
 object ReferenceKernels {
 
@@ -88,6 +89,15 @@ object ReferenceKernels {
     (Array.tabulate(n)(u => keys.slice(start(u), start(u + 1)).map(_.toInt)),
       Array.tabulate(n)(u => sums.slice(start(u), start(u + 1))))
   }
+
+  /** The former `KG.undirectedEdges`, verbatim but for taking the triples
+    * as an argument instead of reading `triplesArray`.
+    */
+  def undirectedEdges(triplesArray: Array[(Int, Int, Int)]): Array[(Int, Int)] =
+    triplesArray
+      .collect { case (h, _, t) if h != t => math.min(h, t).toLong << 32 | math.max(h, t) }
+      .distinct.sorted
+      .map(e => ((e >>> 32).toInt, e.toInt))
 
   /** The former `GnnEA.embed`: a boxed per-vertex adjacency built on every
     * call, gathered over per layer. Verbatim but for the constants that

@@ -1,12 +1,13 @@
 package repro.kg
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalacheck.Prop
+import repro.{Oracle, PropHelper, ReferenceKernels, SparkSpec, TestGraphs}
 
 /** Unit tests for the KG and EaDataset arrays, their input checks and
   * their DataFrame views, oracle-checked.
   */
-class KGSpec extends SparkSpec {
+class KGSpec extends SparkSpec with PropHelper {
 
   private lazy val kg = KG.fromLocal(
     spark, "en",
@@ -52,6 +53,13 @@ class KGSpec extends SparkSpec {
         |                CAST(GREATEST(CAST(h AS BIGINT), CAST(t AS BIGINT)) AS VARCHAR) AS v
         |FROM triples WHERE h <> t""".stripMargin,
       "triples" -> kg.triples)
+  }
+
+  test("property: undirectedEdges equals the former boxed distinct-and-sort pass") {
+    checkProp(Prop.forAll(TestGraphs.gen) { case (n, triples) =>
+      val g = KG.fromLocal(spark, "en", Array.tabulate(n)(_.toString), triples)
+      g.undirectedEdges.toSeq == ReferenceKernels.undirectedEdges(triples).toSeq
+    }, minSuccessful = 300)
   }
 
   test("degree distribution via DuckDB oracle") {

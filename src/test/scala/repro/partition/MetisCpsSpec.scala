@@ -1,8 +1,8 @@
 package repro.partition
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.exp.Datasets
-import repro.kg.{Graph, KGGen}
+import repro.kg.KGGen
 
 /** Unit tests for METIS-CPS (the paper's collaborative partition strategy). */
 class MetisCpsSpec extends SparkSpec {
@@ -30,7 +30,7 @@ class MetisCpsSpec extends SparkSpec {
   }
 
   test("source-side edge cut is far below VPS's") {
-    val g = Graph.fromEdges(300, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
+    val g = TestGraphs.graph(300, ds.source.undirectedEdges.map { case (u, v) => (u, v, 1.0) })
     val vps = Vps.partition(ds, 3, ds.trainPairs, seed = 7)
     val cpsCut = Metis.cutWeight(g, batches.srcPart)
     val vpsCut = Metis.cutWeight(g, vps.srcPart)

@@ -1,7 +1,7 @@
 package repro.partition
 
 import org.scalacheck.{Gen, Prop}
-import repro.{PropHelper, SparkSpec}
+import repro.{PropHelper, SparkSpec, TestGraphs}
 import repro.kg.Graph
 import scala.util.Random
 
@@ -9,13 +9,13 @@ import scala.util.Random
 class MetisSpec extends SparkSpec with PropHelper {
 
   private def ring(n: Int): Graph =
-    Graph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n, 1.0)))
+    TestGraphs.graph(n, (0 until n).map(i => (i, (i + 1) % n, 1.0)))
 
   private def twoCliques(m: Int): Graph = {
     val edges = (for {
       i <- 0 until m; j <- i + 1 until m
     } yield Seq((i, j, 1.0), (m + i, m + j, 1.0))).flatten :+ ((m - 1, m, 1.0))
-    Graph.fromEdges(2 * m, edges.map { case (a, b, c) => (a, b, c) })
+    TestGraphs.graph(2 * m, edges.map { case (a, b, c) => (a, b, c) })
   }
 
   test("k=1 puts everything in one part") {
@@ -50,14 +50,14 @@ class MetisSpec extends SparkSpec with PropHelper {
 
   test("heavy edges are preserved, light edges cut") {
     // chain a-b=c-d where b=c has huge weight: cut must avoid b-c
-    val g = Graph.fromEdges(4, Seq((0, 1, 1.0), (1, 2, 100.0), (2, 3, 1.0)))
+    val g = TestGraphs.graph(4, Seq((0, 1, 1.0), (1, 2, 100.0), (2, 3, 1.0)))
     val p = Metis.partition(g, 2)
     assert(p(1) == p(2), "the w=100 edge must not be cut")
   }
 
   test("zero-weight edges are free to cut") {
     // two triangles connected by a zero-weight edge
-    val g = Graph.fromEdges(6,
+    val g = TestGraphs.graph(6,
       Seq((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
           (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 0.0)))
     val p = Metis.partition(g, 2)
@@ -84,20 +84,20 @@ class MetisSpec extends SparkSpec with PropHelper {
   }
 
   test("Graph.fromEdges sums parallel edges and drops self loops") {
-    val g = Graph.fromEdges(3, Seq((0, 1, 1.0), (1, 0, 2.0), (2, 2, 9.0)))
+    val g = TestGraphs.graph(3, Seq((0, 1, 1.0), (1, 0, 2.0), (2, 2, 9.0)))
     assert(g.ptr.toSeq == Seq(0, 1, 2, 2))
     assert(g.nbr.toSeq == Seq(1, 0))
     assert(g.w.toSeq == Seq(3.0, 3.0))
     // neighbour lists are sorted by id
-    val h = Graph.fromEdges(4, Seq((0, 3, 1.0), (2, 0, 1.0), (0, 1, 1.0)))
+    val h = TestGraphs.graph(4, Seq((0, 3, 1.0), (2, 0, 1.0), (0, 1, 1.0)))
     assert(h.nbr.slice(h.ptr(0), h.ptr(1)).toSeq == Seq(1, 2, 3))
     // an endpoint outside [0, n) is rejected
-    assert(intercept[IllegalArgumentException](Graph.fromEdges(2, Seq((0, -1, 1.0))))
+    assert(intercept[IllegalArgumentException](TestGraphs.graph(2, Seq((0, -1, 1.0))))
       .getMessage.contains("outside [0, 2)"))
   }
 
   test("cutWeight counts each edge once") {
-    val g = Graph.fromEdges(2, Seq((0, 1, 2.5)))
+    val g = TestGraphs.graph(2, Seq((0, 1, 2.5)))
     assert(Metis.cutWeight(g, Array(0, 1)) == 2.5)
     assert(Metis.cutWeight(g, Array(0, 0)) == 0.0)
   }
@@ -107,7 +107,7 @@ class MetisSpec extends SparkSpec with PropHelper {
   private def randomGraph(n: Int, m: Int, seed: Int): Graph = {
     val r = new Random(seed)
     val edges = (0 until m).map(_ => (r.nextInt(n), r.nextInt(n), 1.0))
-    Graph.fromEdges(n, edges)
+    TestGraphs.graph(n, edges)
   }
 
   private def twoCliquesChain(k: Int, m: Int): Graph = {
@@ -115,7 +115,7 @@ class MetisSpec extends SparkSpec with PropHelper {
     for (c <- 0 until k; i <- 0 until m; j <- i + 1 until m)
       edges += ((c * m + i, c * m + j, 1.0))
     for (c <- 0 until k - 1) edges += ((c * m + m - 1, (c + 1) * m, 1.0))
-    Graph.fromEdges(k * m, edges.toSeq)
+    TestGraphs.graph(k * m, edges.toSeq)
   }
 
   test("property: every vertex is assigned a valid part and balance holds") {
@@ -143,8 +143,8 @@ class MetisSpec extends SparkSpec with PropHelper {
         val (a, b) = if (r.nextBoolean()) (v, u) else (u, v)
         if (w >= 2 && r.nextBoolean()) Seq((a, b, 1.0), (b, a, w - 1)) else Seq((a, b, w))
       })
-      val p = Metis.partition(Graph.fromEdges(n, edges), k, seed = s)
-      p.toSeq == Metis.partition(Graph.fromEdges(n, varied), k, seed = s).toSeq
+      val p = Metis.partition(TestGraphs.graph(n, edges), k, seed = s)
+      p.toSeq == Metis.partition(TestGraphs.graph(n, varied), k, seed = s).toSeq
     }, minSuccessful = 20)
   }
 

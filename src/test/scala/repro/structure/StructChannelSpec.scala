@@ -127,7 +127,8 @@ class StructChannelSpec extends SparkSpec with PropHelper {
           ReferenceKernels.batch(b, nS, nT, sT, tT, batches.srcPart, batches.tgtPart, seeds)
         val c = cut(b)
         c.index == b && c.srcIds.toSeq == srcIds.toSeq && c.tgtIds.toSeq == tgtIds.toSeq &&
-          c.srcTriples.toSeq == srcT.toSeq && c.tgtTriples.toSeq == tgtT.toSeq &&
+          StructChannel.triples(c.srcTriples).toSeq == srcT.toSeq &&
+          StructChannel.triples(c.tgtTriples).toSeq == tgtT.toSeq &&
           c.srcAnchors.toSeq == srcA.toSeq && c.tgtAnchors.toSeq == tgtA.toSeq
       }
     }, minSuccessful = 300)
