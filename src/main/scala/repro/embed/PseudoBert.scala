@@ -26,7 +26,7 @@ final class PseudoBert(lexicon: Map[String, String], dim: Int = 64) extends Seri
     * unicode letters kept so pseudo-French accents survive).
     */
   def tokenize(name: String): Array[String] =
-    name.toLowerCase.split("[^\\p{L}\\p{N}]+").filter(_.nonEmpty)
+    name.toLowerCase(java.util.Locale.ROOT).split("[^\\p{L}\\p{N}]+").filter(_.nonEmpty)
 
   /** Canonicalize a token through the lexicon (identity for English /
     * out-of-lexicon surfaces).

@@ -166,12 +166,12 @@ object KGGen {
     for (i <- 0 until cfg.nTgtExtra)  tgtNames(nCore + i) = renderTarget(tgtExtraTokens(i))
 
     // ---- lexicon: clean translated surface -> canonical English surface.
-    // Keys are lowercased because the embedder's tokenizer lowercases
-    // (German surfaces are capitalized).
+    // Keys are lowercased in the root locale because the embedder's
+    // tokenizer does so (German surfaces are capitalized).
     val allTokens: Set[String] =
       (coreTokens ++ srcExtraTokens ++ tgtExtraTokens).flatten.toSet ++ catVocab
     val lexicon: Map[String, String] =
-      allTokens.iterator.map(t => translate(t, cfg.langTgt).toLowerCase -> t).toMap
+      allTokens.iterator.map(t => translate(t, cfg.langTgt).toLowerCase(java.util.Locale.ROOT) -> t).toMap
 
     // ---- shuffle target ids so src id != tgt id (no accidental id leak) ---
     val perm = new Random(cfg.seed + 5).shuffle((0 until nTgt).toVector).toArray

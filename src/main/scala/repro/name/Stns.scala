@@ -12,12 +12,15 @@ import repro.sim.SimMatrix
   *
   * Pipeline (local: a shuffle does not pay off for ~21K names):
   *  1. MinHash signatures per name on both sides;
-  *  2. banded LSH buckets of the targets, probed by each source → candidates;
+  *  2. banded LSH buckets of the targets (one sorted key array per band),
+  *     probed by each source → candidates;
   *  3. keep pairs with estimated Jaccard ≥ θ;
   *  4. score survivors with normalized Levenshtein similarity
   *     1 − lev(a,b)/max(|a|,|b|).
   */
 object Stns {
+
+  private final val Chunk = 256 // sources per parallel task
 
   /** Exact Levenshtein distance (two-row DP). */
   def levenshtein(a: String, b: String): Int = {
@@ -60,15 +63,22 @@ object Stns {
     // signatures are the costly part (`NumPerm` hashes per shingle): run them in parallel
     val srcSig = srcNames.par.map(MinHashLsh.signature).toArray
     val tgtSig = tgtNames.par.map(MinHashLsh.signature).toArray
-    // LSH buckets: band key -> the target ids that hash to it
-    val buckets = scala.collection.mutable.LongMap.empty[List[Int]]
-    for (t <- tgtSig.indices; k <- MinHashLsh.bandKeys(tgtSig(t))) buckets(k) = t :: buckets.getOrElse(k, Nil)
-    // each candidate pair once, then the θ filter, then Levenshtein
-    val cells = for {
-      s <- srcSig.indices.par
-      t <- MinHashLsh.bandKeys(srcSig(s)).flatMap(buckets.getOrElse(_, Nil)).distinct
-      if MinHashLsh.estJaccard(srcSig(s), tgtSig(t)) >= theta
-    } yield (s.toLong, t.toLong, levenshteinSim(srcNames(s), tgtNames(t)))
-    SimMatrix.fromLocal(spark, cells.seq, srcNames.length, tgtNames.length)
+    val index = MinHashLsh.bandIndex(tgtSig)
+    // sources in parallel chunks: each candidate pair once, then the θ filter, then Levenshtein
+    val blocks = (0 until srcNames.length by Chunk).par.map { from =>
+      val seen = new Array[Int](tgtNames.length) // s + 1 once t is a candidate of source s
+      val (src, tgt, score) = (Array.newBuilder[Int], Array.newBuilder[Int], Array.newBuilder[Double])
+      for (s <- from until math.min(from + Chunk, srcNames.length))
+        MinHashLsh.foreachCandidate(index, srcSig(s)) { t =>
+          if (seen(t) != s + 1) {
+            seen(t) = s + 1
+            if (MinHashLsh.estJaccard(srcSig(s), tgtSig(t)) >= theta) {
+              src += s; tgt += t; score += levenshteinSim(srcNames(s), tgtNames(t))
+            }
+          }
+        }
+      SimMatrix.Block(src.result(), tgt.result(), score.result())
+    }
+    SimMatrix.fromBlocks(spark, srcNames.length, tgtNames.length, blocks.seq)
   }
 }

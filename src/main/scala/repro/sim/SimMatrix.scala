@@ -37,36 +37,58 @@ final class SimMatrix private (
     Iterator.range(0, numRows).flatMap(s => row(s).iterator.map { case (t, v) => (s, t, v) })
 
   /** this + weight·other over the union of supports; a shared cell scores
-    * `a + weight·b`.
+    * `a + weight·b`. Each row is emitted in rank order, merged from three
+    * runs: this row's own cells, the shared cells (re-scored, then sorted)
+    * and the other row's own cells.
     */
   def plus(other: SimMatrix, weight: Double = 1.0): SimMatrix = {
     val nR = math.max(numRows, other.numRows)
+    val nC = math.max(numCols, other.numCols)
     val src = new Array[Int](nnz.toInt + other.tgt.length)
     val tgtOut = new Array[Int](src.length)
     val scoreOut = new Array[Double](src.length)
     var n = 0
-    val b = Array.fill(math.max(numCols, other.numCols))(Double.NaN) // weight·other's row s; NaN: no cell
+    val mark = new Array[Int](nC) // s + 1: t is in other's row s; -(s + 1): in both rows s
+    val b = new Array[Double](nC) // weight·other's score of (s, t)
+    val sharedT = new Array[Int](nC)
+    val sharedV = new Array[Double](nC)
     var s = 0
     while (s < nR) {
       val (from, until) = if (s < numRows) (rowPtr(s), rowPtr(s + 1)) else (0, 0)
       val (oFrom, oUntil) = if (s < other.numRows) (other.rowPtr(s), other.rowPtr(s + 1)) else (0, 0)
       var i = oFrom
-      while (i < oUntil) { b(other.tgt(i)) = weight * other.score(i); i += 1 }
+      while (i < oUntil) { mark(other.tgt(i)) = s + 1; b(other.tgt(i)) = weight * other.score(i); i += 1 }
+      var k = 0
       i = from
       while (i < until) {
         val t = tgt(i)
-        src(n) = s; tgtOut(n) = t; scoreOut(n) = if (b(t).isNaN) score(i) else score(i) + b(t)
-        b(t) = Double.NaN; n += 1; i += 1
-      }
-      i = oFrom
-      while (i < oUntil) {
-        val t = other.tgt(i)
-        if (!b(t).isNaN) { src(n) = s; tgtOut(n) = t; scoreOut(n) = b(t); b(t) = Double.NaN; n += 1 }
+        if (mark(t) == s + 1) { sharedT(k) = t; sharedV(k) = score(i) + b(t); mark(t) = -(s + 1); k += 1 }
         i += 1
+      }
+      SimMatrix.sortRow(sharedT, sharedV, 0, k)
+      // three-way merge by rank; fromBlocks fixes any order this misses
+      i = from
+      var j = oFrom
+      var h = 0
+      var run = 0 // the run whose head ranks first: 0 this row's own cells, 1 other's, 2 shared; -1 none
+      while (run >= 0) {
+        while (i < until && mark(tgt(i)) == -(s + 1)) i += 1
+        while (j < oUntil && mark(other.tgt(j)) == -(s + 1)) j += 1
+        run = -1
+        var t = 0; var v = 0.0 // the head of `run`
+        if (i < until) { run = 0; t = tgt(i); v = score(i) }
+        if (j < oUntil && (run < 0 || SimMatrix.precedes(other.tgt(j), b(other.tgt(j)), t, v))) {
+          run = 1; t = other.tgt(j); v = b(t)
+        }
+        if (h < k && (run < 0 || SimMatrix.precedes(sharedT(h), sharedV(h), t, v))) {
+          run = 2; t = sharedT(h); v = sharedV(h)
+        }
+        if (run >= 0) { src(n) = s; tgtOut(n) = t; scoreOut(n) = v; n += 1 }
+        if (run == 0) i += 1 else if (run == 1) j += 1 else if (run == 2) h += 1
       }
       s += 1
     }
-    SimMatrix.fromBlocks(spark, nR, b.length, Seq(SimMatrix.Block(
+    SimMatrix.fromBlocks(spark, nR, nC, Seq(SimMatrix.Block(
       java.util.Arrays.copyOf(src, n), java.util.Arrays.copyOf(tgtOut, n), java.util.Arrays.copyOf(scoreOut, n))))
   }
 
@@ -147,6 +169,9 @@ object SimMatrix {
   /** The empty matrix. */
   def empty(spark: SparkSession): SimMatrix = fromBlocks(spark, 0, 0, Nil)
 
+  /** Whether cell (t1, v1) ranks before (t2, v2) in a row: score desc, then target asc. */
+  private def precedes(t1: Int, v1: Double, t2: Int, v2: Double): Boolean = v1 > v2 || (v1 == v2 && t1 < t2)
+
   /** Insertion sort of cells [from, until) by score desc, then target asc:
     * rows are short (top-k) and usually arrive in order.
     */
@@ -154,7 +179,7 @@ object SimMatrix {
     for (i <- from + 1 until until) {
       val (t, v) = (tgt(i), score(i))
       var j = i - 1
-      while (j >= from && (score(j) < v || (score(j) == v && tgt(j) > t))) {
+      while (j >= from && precedes(t, v, tgt(j), score(j))) {
         tgt(j + 1) = tgt(j); score(j + 1) = score(j); j -= 1
       }
       tgt(j + 1) = t; score(j + 1) = v

@@ -1,7 +1,9 @@
 package repro
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.apache.spark.sql.SparkSession
 import repro.kg.Graph
+import repro.sim.SimMatrix
 import scala.util.Random
 
 /** Minimal ScalaCheck runner for use inside ScalaTest suites — the
@@ -98,4 +100,29 @@ object TestGraphs {
   /** Row by row, the same float bits. */
   def sameBits(a: Array[Array[Float]], b: Array[Array[Float]]): Boolean =
     a.length == b.length && a.indices.forall(i => java.util.Arrays.equals(a(i), b(i)))
+}
+
+/** Random sparse matrices for the `SimMatrix.plus` properties. */
+object TestMatrices {
+
+  /** Same shape, row pointers, targets and raw score bits. */
+  def sameBits(a: SimMatrix, b: SimMatrix): Boolean =
+    a.numRows == b.numRows && a.numCols == b.numCols &&
+      java.util.Arrays.equals(a.rowPtr, b.rowPtr) && java.util.Arrays.equals(a.tgt, b.tgt) &&
+      a.score.map(java.lang.Double.doubleToRawLongBits).sameElements(b.score.map(java.lang.Double.doubleToRawLongBits))
+
+  /** A numRows x numCols matrix with rows of up to about 60 cells; scores
+    * are drawn from a small pool (ties, `0.0` and `-0.0`) or at random.
+    */
+  def gen(spark: SparkSession, numRows: Int, numCols: Int, seed: Long): SimMatrix = {
+    val r = new Random(seed)
+    val pool = Array(0.0, -0.0, 0.25, 0.5, 1.0, 0.1, 0.3)
+    val cells = for {
+      s <- 0 until numRows
+      density = r.nextDouble()
+      t <- 0 until numCols if r.nextDouble() < density
+    } yield (s, t, if (r.nextBoolean()) pool(r.nextInt(pool.length)) else r.nextDouble())
+    SimMatrix.fromBlocks(spark, numRows, numCols,
+      Seq(SimMatrix.Block(cells.map(_._1).toArray, cells.map(_._2).toArray, cells.map(_._3).toArray)))
+  }
 }

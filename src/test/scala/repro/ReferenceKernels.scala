@@ -1,16 +1,22 @@
 package repro
 
 import repro.embed.VecOps
+import org.apache.spark.sql.SparkSession
 import repro.exp.Tables
+import repro.name.{MinHashLsh, Stns}
+import repro.sim.SimMatrix
 import repro.structure.GnnEA
 import scala.collection.mutable
+import scala.collection.parallel.CollectionConverters._
+import scala.util.hashing.MurmurHash3
 
 /** The kernels that `VecOps.l1TopK`, the blocked `L1Targets.filter`, the
   * single-pass `StructChannel.mutualNN`, the shared CSR propagation
   * (`Graph.fromTriples` + `GnnEA.layer`), the CSR `Graph.fromEdges`, the
-  * primitive `KG.undirectedEdges`, the one-pass `StructChannel.cut` and
-  * the one grid renderer of `Tables` replaced, kept verbatim as references
-  * for the equivalence properties.
+  * primitive `KG.undirectedEdges`, the one-pass `StructChannel.cut`, the
+  * one grid renderer of `Tables`, the folded `MinHashLsh.signature`, the
+  * sorted-band `Stns.similarity` and the rank-order `SimMatrix.plus`
+  * replaced, kept verbatim as references for the equivalence properties.
   */
 object ReferenceKernels {
 
@@ -346,5 +352,94 @@ object ReferenceKernels {
       f"${r.dataset}%-16s ${r.setting}%-8s ${r.nameChannel}%8s ${r.structR}%14s ${r.structG}%14s"
     }
     (header +: body).mkString("\n")
+  }
+
+  private final val MinHashSeed = 0x2f17
+  private val P = 2147483647L // 2^31 - 1, Mersenne prime
+  private val as: Array[Long] = {
+    val r = new scala.util.Random(MinHashSeed)
+    Array.fill(MinHashLsh.NumPerm)(1L + r.nextInt((P - 1).toInt))
+  }
+  private val bs: Array[Long] = {
+    val r = new scala.util.Random(MinHashSeed + 1)
+    Array.fill(MinHashLsh.NumPerm)(r.nextInt(P.toInt).toLong)
+  }
+
+  /** The former `MinHashLsh.shingles`, verbatim. */
+  def shingles(s: String): Set[Int] = {
+    val t = s.toLowerCase.replaceAll("\\s+", " ").trim
+    if (t.length < 3) Set(MurmurHash3.stringHash(t, MinHashSeed))
+    else (0 to t.length - 3).map(i => MurmurHash3.stringHash(t.substring(i, i + 3), MinHashSeed)).toSet
+  }
+
+  /** The former `MinHashLsh.signature`, verbatim: two `Long` remainders per
+    * shingle and permutation, over the deduplicated shingle set.
+    */
+  def signature(s: String): Array[Int] = {
+    val sh = shingles(s)
+    val sig = Array.fill(MinHashLsh.NumPerm)(Int.MaxValue)
+    sh.foreach { g =>
+      val x = (g.toLong & 0xffffffffL) % P
+      var i = 0
+      while (i < MinHashLsh.NumPerm) {
+        val h = ((as(i) * x + bs(i)) % P).toInt
+        if (h < sig(i)) sig(i) = h
+        i += 1
+      }
+    }
+    sig
+  }
+
+  /** The former `Stns.similarity`, verbatim but for the reference
+    * `signature`: one driver-side `LongMap` of bucket lists and a boxed
+    * `distinct` per source.
+    */
+  def stns(spark: SparkSession, srcNames: Array[String], tgtNames: Array[String], theta: Double): SimMatrix = {
+    val srcSig = srcNames.par.map(signature).toArray
+    val tgtSig = tgtNames.par.map(signature).toArray
+    val buckets = scala.collection.mutable.LongMap.empty[List[Int]]
+    for (t <- tgtSig.indices; k <- MinHashLsh.bandKeys(tgtSig(t))) buckets(k) = t :: buckets.getOrElse(k, Nil)
+    val cells = for {
+      s <- srcSig.indices.par
+      t <- MinHashLsh.bandKeys(srcSig(s)).flatMap(buckets.getOrElse(_, Nil)).distinct
+      if MinHashLsh.estJaccard(srcSig(s), tgtSig(t)) >= theta
+    } yield (s.toLong, t.toLong, Stns.levenshteinSim(srcNames(s), tgtNames(t)))
+    SimMatrix.fromLocal(spark, cells.seq, srcNames.length, tgtNames.length)
+  }
+
+  /** The former `SimMatrix.plus` (`a + weight·other`), verbatim but for
+    * reading `a`'s fields: each row as "a's cells, then other's", with a NaN
+    * sentinel for "no cell", re-sorted by `fromBlocks`.
+    */
+  def plus(a: SimMatrix, other: SimMatrix, weight: Double): SimMatrix = {
+    import a.{numRows, numCols, rowPtr, tgt, score}
+    val nR = math.max(numRows, other.numRows)
+    val src = new Array[Int](a.nnz.toInt + other.tgt.length)
+    val tgtOut = new Array[Int](src.length)
+    val scoreOut = new Array[Double](src.length)
+    var n = 0
+    val b = Array.fill(math.max(numCols, other.numCols))(Double.NaN) // weight·other's row s; NaN: no cell
+    var s = 0
+    while (s < nR) {
+      val (from, until) = if (s < numRows) (rowPtr(s), rowPtr(s + 1)) else (0, 0)
+      val (oFrom, oUntil) = if (s < other.numRows) (other.rowPtr(s), other.rowPtr(s + 1)) else (0, 0)
+      var i = oFrom
+      while (i < oUntil) { b(other.tgt(i)) = weight * other.score(i); i += 1 }
+      i = from
+      while (i < until) {
+        val t = tgt(i)
+        src(n) = s; tgtOut(n) = t; scoreOut(n) = if (b(t).isNaN) score(i) else score(i) + b(t)
+        b(t) = Double.NaN; n += 1; i += 1
+      }
+      i = oFrom
+      while (i < oUntil) {
+        val t = other.tgt(i)
+        if (!b(t).isNaN) { src(n) = s; tgtOut(n) = t; scoreOut(n) = b(t); b(t) = Double.NaN; n += 1 }
+        i += 1
+      }
+      s += 1
+    }
+    SimMatrix.fromBlocks(a.spark, nR, b.length, Seq(SimMatrix.Block(
+      java.util.Arrays.copyOf(src, n), java.util.Arrays.copyOf(tgtOut, n), java.util.Arrays.copyOf(scoreOut, n))))
   }
 }

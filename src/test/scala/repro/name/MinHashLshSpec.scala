@@ -2,7 +2,8 @@ package repro.name
 
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.PropHelper
+import repro.{PropHelper, ReferenceKernels}
+import repro.embed.PseudoBert
 
 /** Unit + property tests for the datasketch substitute. */
 class MinHashLshSpec extends AnyFunSuite with PropHelper {
@@ -88,5 +89,33 @@ class MinHashLshSpec extends AnyFunSuite with PropHelper {
   test("trueJaccard basics") {
     assert(lsh.trueJaccard("abc", "abc") == 1.0)
     assert(lsh.trueJaccard("abc", "xyz") == 0.0)
+  }
+
+  test("property: signature equals the former remainder-based signature, raw bits") {
+    val char = Gen.frequency(
+      8 -> Gen.alphaLowerChar, 2 -> Gen.alphaUpperChar, 1 -> Gen.numChar,
+      2 -> Gen.oneOf(' ', '\t', '\n', '\r', '\u000b', '\f'),
+      1 -> Gen.oneOf('é', 'è', 'ü', 'ß', 'ç', 'É', 'Ü', 'ø', 'İ', 'ı', '-', '\''))
+    val name = Gen.frequency(
+      1 -> Gen.const(""),
+      2 -> Gen.choose(1, 2).flatMap(Gen.listOfN(_, char)).map(_.mkString),
+      6 -> Gen.choose(3, 30).flatMap(Gen.listOfN(_, char)).map(_.mkString),
+      2 -> Gen.zip(Gen.choose(0, 4), Gen.listOf(Gen.alphaStr), Gen.choose(0, 4))
+        .map { case (l, ws, t) => " " * l + ws.mkString(" \t\n  ") + "\t" * t },
+      1 -> Gen.choose(100, 400).flatMap(Gen.listOfN(_, char)).map(_.mkString))
+    checkProp(Prop.forAll(name) { s =>
+      lsh.signature(s).sameElements(ReferenceKernels.signature(s)) && lsh.shingles(s) == ReferenceKernels.shingles(s)
+    }, minSuccessful = 400)
+  }
+
+  test("signature and tokenize do not depend on the default locale") {
+    val bert = new PseudoBert(Map.empty)
+    val before = java.util.Locale.getDefault
+    try {
+      java.util.Locale.setDefault(new java.util.Locale("tr"))
+      assert("I".toLowerCase == "ı") // the dotless i this guards against
+      assert(lsh.signature("IVAN").sameElements(lsh.signature("ivan")))
+      assert(bert.tokenize("IVAN Ivanov").sameElements(bert.tokenize("ivan ivanov")))
+    } finally java.util.Locale.setDefault(before)
   }
 }

@@ -1,7 +1,7 @@
 package repro.name
 
 import org.scalacheck.{Gen, Prop}
-import repro.{Oracle, PropHelper, SparkSpec}
+import repro.{Oracle, PropHelper, ReferenceKernels, SparkSpec, TestMatrices}
 import org.apache.spark.sql.functions._
 
 /** Unit tests for STNS: Levenshtein (DuckDB-oracled) + LSH-filtered matrix. */
@@ -92,5 +92,26 @@ class StnsSpec extends SparkSpec with PropHelper {
     val found = ds.truthPairs.count { case (s, t) => m.rank(s, t) > 0 }
     info(s"STNS candidate recall on tiny: ${found / 300.0}")
     assert(found > 150, s"too few aligned pairs survive LSH: $found/300")
+  }
+
+  test("property: similarity equals the former LongMap-and-distinct join, raw bits") {
+    // few words and shared category phrases: duplicate names and buckets of 50+ targets
+    val words = Array("kamoti", "velsu", "dorne", "hel", "warden", "north", "bonjour", "monde", "ab", "x")
+    val long = "municipality of the northern valley "
+    val phrases = Array("", "saint ", "river of the ", long, long, long)
+    def names(n: Int, r: scala.util.Random) = Array.fill(n) {
+      phrases(r.nextInt(phrases.length)) + Seq.fill(1 + r.nextInt(3))(words(r.nextInt(words.length))).mkString(" ")
+    }
+    var largestBucket = 0
+    def size(max: Int) = Gen.frequency(1 -> Gen.const(0), 9 -> Gen.choose(1, max)) // 0: an empty side
+    checkProp(Prop.forAll(size(150), size(300), Gen.oneOf(0.0, 0.5, 1.0), Gen.long) {
+      (nS, nT, theta, seed) =>
+        val r = new scala.util.Random(seed)
+        val (src, tgt) = (names(nS, r), names(nT, r))
+        val buckets = tgt.toSeq.flatMap(t => MinHashLsh.bandKeys(MinHashLsh.signature(t))).groupBy(identity)
+        largestBucket = (buckets.values.map(_.size) ++ Seq(largestBucket)).max
+        TestMatrices.sameBits(Stns.similarity(spark, src, tgt, theta), ReferenceKernels.stns(spark, src, tgt, theta))
+    }, minSuccessful = 120)
+    assert(largestBucket >= 50, s"the largest bucket held only $largestBucket targets")
   }
 }

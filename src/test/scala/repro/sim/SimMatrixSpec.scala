@@ -1,10 +1,11 @@
 package repro.sim
 
-import repro.{Oracle, SparkSpec}
+import org.scalacheck.{Gen, Prop}
+import repro.{Oracle, PropHelper, ReferenceKernels, SparkSpec, TestMatrices}
 import org.apache.spark.sql.functions._
 
 /** Unit tests for the sparse similarity matrix, oracle-checked. */
-class SimMatrixSpec extends SparkSpec {
+class SimMatrixSpec extends SparkSpec with PropHelper {
 
   private lazy val a = SimMatrix.fromLocal(spark,
     Seq((0L, 0L, 0.9), (0L, 1L, 0.3), (1L, 1L, 0.7), (2L, 0L, 0.2)), 16, 16)
@@ -109,5 +110,26 @@ class SimMatrixSpec extends SparkSpec {
     intercept[IllegalArgumentException](SimMatrix.fromBlocks(spark, 2, 2, Seq(
       SimMatrix.Block(Array(1), Array(1), Array(0.5)),
       SimMatrix.Block(Array(1), Array(1), Array(0.5)))))
+  }
+
+  test("property: plus equals the former append-then-sort rows, raw bits") {
+    val shape = Gen.zip(Gen.choose(0, 8), Gen.oneOf(Gen.choose(0, 12), Gen.choose(40, 80)))
+    checkProp(Prop.forAll(shape, shape, Gen.oneOf(1.0, 0.05), Gen.long) { case ((r1, c1), (r2, c2), w, seed) =>
+      val a = TestMatrices.gen(spark, r1, c1, seed)
+      val b = TestMatrices.gen(spark, r2, c2, ~seed)
+      TestMatrices.sameBits(a.plus(b, w), ReferenceKernels.plus(a, b, w))
+    }, minSuccessful = 300)
+  }
+
+  test("plus merges long interleaved rows, shared cells and ties in rank order") {
+    val a = SimMatrix.fromLocal(spark, (0 until 50).map(t => (0L, 2L * t, 1.0 - t / 50.0)) :+ ((1L, 3L, -0.0)), 2, 100)
+    val b = SimMatrix.fromLocal(spark,
+      (0 until 50).map(t => (0L, 2L * t + 1, 20.0 - t / 2.5)) ++ Seq((0L, 0L, 0.0), (0L, 4L, 2.0), (2L, 7L, 0.0)), 3, 101)
+    for (w <- Seq(1.0, 0.05)) {
+      val m = a.plus(b, w)
+      assert(TestMatrices.sameBits(m, ReferenceKernels.plus(a, b, w)))
+      assert(m.nnz == 102 && m.numRows == 3 && m.numCols == 101)
+      assert(m.row(1).toSeq == Seq((3, -0.0)) && m.row(2).toSeq == Seq((7, 0.0)))
+    }
   }
 }
