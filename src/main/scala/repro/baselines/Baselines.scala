@@ -65,9 +65,9 @@ object Baselines {
     Sens.similarity(spark, embed(ds.source), embed(ds.target), Nff.Phi)
   }
 
-  /** RDGCN-lite's layers over one KG, from the name embeddings `h0`. */
+  /** RDGCN-lite's layers over one KG's `triples`, from the name embeddings `h0`. */
   private[baselines] def rdgcnPropagate(
-      h0: Array[Array[Float]], triples: Array[(Int, Int, Int)]): Array[Array[Float]] = {
+      h0: Array[Array[Float]], triples: Array[Int]): Array[Array[Float]] = {
     val adj = Graph.fromTriples(h0.length, triples)((_, norm) => (1.0 / norm).toFloat)
     (1 to RdgcnLayers).foldLeft(h0)((h, _) => GnnEA.layer(adj, h, RdgcnSelfWeight).map(VecOps.normalize(_)))
   }

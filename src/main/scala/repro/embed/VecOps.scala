@@ -359,9 +359,6 @@ final class TopK(val k: Int) {
       siftDown(0, size)
     }
 
-  /** The worst kept score once k offers are kept; NaN before (and at k = 0). */
-  def worst: Double = if (k > 0 && size == k) score(0) else Double.NaN
-
   /** The kept offers in rank order, as (indices, scores). Empties the heap. */
   def result(): (Array[Int], Array[Double]) = {
     val n = size

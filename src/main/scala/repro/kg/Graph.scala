@@ -13,24 +13,24 @@ final class Graph private (val ptr: Array[Int], val nbr: Array[Int], val w: Arra
 
 object Graph {
 
-  /** The graph of `n` vertices over the triples (h, r, t), each taken in
-    * both directions. Self-loops are dropped; a vertex's neighbours are in
-    * triple order. An edge weighs `weight(r, √(d_h·d_t))`, with d the vertex
-    * degrees without self-loops.
+  /** The graph of `n` vertices over the triples h --r--> t, interleaved as
+    * in `KG.triplesArray`, each taken in both directions. Self-loops are
+    * dropped; a vertex's neighbours are in triple order. An edge weighs
+    * `weight(r, √(d_h·d_t))`, with d the vertex degrees without self-loops.
     */
-  def fromTriples(n: Int, triples: Array[(Int, Int, Int)])(weight: (Int, Double) => Float): Graph = {
+  def fromTriples(n: Int, triples: Array[Int])(weight: (Int, Double) => Float): Graph = {
+    val edges = Array.range(0, triples.length, 3).filter(i => triples(i) != triples(i + 2)) // no self-loops
     val deg = new Array[Int](n)
-    triples.foreach { case (h, _, t) => if (h != t) { deg(h) += 1; deg(t) += 1 } }
+    edges.foreach { i => deg(triples(i)) += 1; deg(triples(i + 2)) += 1 }
     val ptr = deg.scanLeft(0)(_ + _)
     val fill = ptr.clone() // next free slot per vertex
     val nbr = new Array[Int](ptr(n))
     val w = new Array[Double](ptr(n))
-    triples.foreach { case (h, r, t) =>
-      if (h != t) {
-        val x = weight(r, math.sqrt(deg(h).toDouble * deg(t)))
-        nbr(fill(h)) = t; w(fill(h)) = x; fill(h) += 1
-        nbr(fill(t)) = h; w(fill(t)) = x; fill(t) += 1
-      }
+    edges.foreach { i =>
+      val h = triples(i); val t = triples(i + 2)
+      val x = weight(triples(i + 1), math.sqrt(deg(h).toDouble * deg(t)))
+      nbr(fill(h)) = t; w(fill(h)) = x; fill(h) += 1
+      nbr(fill(t)) = h; w(fill(t)) = x; fill(t) += 1
     }
     new Graph(ptr, nbr, w)
   }

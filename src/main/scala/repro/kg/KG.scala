@@ -4,67 +4,69 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** A knowledge graph G = (E, R, T) held in driver arrays: `namesArray(e)`
   * is the name of entity e (so ids are dense 0..n-1) and `triplesArray`
-  * holds the directed edges h --r--> t as (h, r, t). Construction throws
-  * IllegalArgumentException on a `null` name (the paper's name channel
-  * assumes every entity has one) or on a triple endpoint outside [0, n).
-  * `entities` (id: Long, name: String) and `triples` (h: Long, r: Int,
-  * t: Long) are DataFrame views of the arrays, for the DuckDB oracle tests
-  * and the benchmark harness.
+  * holds the directed edges h --r--> t as h, r, t interleaved, the one
+  * triple format of the program. Construction throws IllegalArgumentException
+  * on a `null` name (the paper's name channel assumes every entity has one),
+  * on a triple endpoint outside [0, n), on a negative relation id (relations
+  * are counted by id) or on a length that is not a multiple of 3. `entities`
+  * (id: Long, name: String) and `triples` (h: Long, r: Int, t: Long) are
+  * DataFrame views of the arrays, for the DuckDB oracle tests and the
+  * benchmark harness.
   */
 final class KG private (
     val spark: SparkSession,
     val lang: String,
     val namesArray: Array[String],
-    val triplesArray: Array[(Int, Int, Int)]) {
+    val triplesArray: Array[Int]) {
 
   private val n = namesArray.length
   require(!namesArray.contains(null), s"entity ${namesArray.indexOf(null)} of KG $lang has no name")
-  triplesArray.foreach { case (h, r, t) =>
+  require(triplesArray.length % 3 == 0, s"KG $lang has ${triplesArray.length} triple ints, not a multiple of 3")
+  for (i <- triplesArray.indices by 3) {
+    val h = triplesArray(i); val r = triplesArray(i + 1); val t = triplesArray(i + 2)
     require(h >= 0 && h < n && t >= 0 && t < n, s"triple ($h, $r, $t) of KG $lang has an endpoint outside [0, $n)")
+    require(r >= 0, s"triple ($h, $r, $t) of KG $lang has a negative relation id")
   }
 
   /** Number of entities |E|. */
   def numEntities: Long = n
 
   /** Number of distinct relations |R|. */
-  lazy val numRelations: Long = triplesArray.iterator.map(_._2).distinct.size
+  lazy val numRelations: Long = Iterator.range(1, triplesArray.length, 3).map(triplesArray(_)).distinct.size
 
   /** Number of triples |T|. */
-  def numTriples: Long = triplesArray.length
+  def numTriples: Long = triplesArray.length / 3
 
   lazy val entities: DataFrame =
     spark.createDataFrame(namesArray.toSeq.zipWithIndex.map { case (nm, i) => (i.toLong, nm) }).toDF("id", "name")
 
   lazy val triples: DataFrame =
-    spark.createDataFrame(triplesArray.toSeq.map { case (h, r, t) => (h.toLong, r, t.toLong) }).toDF("h", "r", "t")
+    spark.createDataFrame((triplesArray.indices by 3).map(i =>
+      (triplesArray(i).toLong, triplesArray(i + 1), triplesArray(i + 2).toLong))).toDF("h", "r", "t")
 
   /** Undirected edges (u, v) with u < v, parallel edges collapsed and
-    * self-loops dropped, in ascending (u, v) order: the METIS input. A
-    * local pass over `triplesArray`, so the order does not depend on how
-    * the triples were stored or on any Spark setting.
+    * self-loops dropped, in ascending (u, v) order, as the arrays (us, vs):
+    * the METIS input. A local pass over `triplesArray`, so the order does
+    * not depend on how the triples were stored or on any Spark setting.
     */
-  def undirectedEdges: Array[(Int, Int)] = {
-    // (min, max) packed into one Long per non-loop triple, sorted, deduplicated in place
-    val keys = new Array[Long](triplesArray.count { case (h, _, t) => h != t })
+  def undirectedEdges: (Array[Int], Array[Int]) = {
+    // (min, max) packed into one Long per non-loop triple, sorted, deduplicated
+    val keys = new Array[Long](triplesArray.length / 3)
     var m = 0
-    triplesArray.foreach { case (h, _, t) =>
+    for (i <- triplesArray.indices by 3) {
+      val h = triplesArray(i); val t = triplesArray(i + 2)
       if (h != t) { keys(m) = math.min(h, t).toLong << 32 | math.max(h, t); m += 1 }
     }
-    java.util.Arrays.sort(keys)
-    m = 0
-    keys.foreach(e => if (m == 0 || keys(m - 1) != e) { keys(m) = e; m += 1 })
-    Array.tabulate(m)(i => ((keys(i) >>> 32).toInt, keys(i).toInt))
+    java.util.Arrays.sort(keys, 0, m)
+    val edges = Array.range(0, m).filter(j => j == 0 || keys(j - 1) != keys(j)).map(keys(_))
+    (edges.map(e => (e >>> 32).toInt), edges.map(_.toInt))
   }
 }
 
 object KG {
 
   /** Build a KG from driver-side arrays (used by the generator and tests). */
-  def fromLocal(
-      spark: SparkSession,
-      lang: String,
-      names: Array[String],
-      triples: Array[(Int, Int, Int)]): KG =
+  def fromLocal(spark: SparkSession, lang: String, names: Array[String], triples: Array[Int]): KG =
     new KG(spark, lang, names, triples)
 }
 

@@ -123,8 +123,8 @@ object KGGen {
       val x = h.nextDouble()
       math.min(996, (x * x * 997).toInt)
     }
-    def toTriples(edges: Seq[(Int, Int)], nRel: Int): Array[(Int, Int, Int)] =
-      edges.distinct.map { case (u, v) => (u, baseRel(u, v) % nRel, v) }.toArray
+    def toTriples(edges: Seq[(Int, Int)], nRel: Int): Array[Int] = // u, r, v interleaved, as KG.triplesArray
+      edges.distinct.iterator.flatMap { case (u, v) => Iterator(u, baseRel(u, v) % nRel, v) }.toArray
 
     val srcTriples = toTriples(srcCoreEdges.toSeq, cfg.nRelSrc)
     val tgtTriples = toTriples(tgtCoreEdges.toSeq, cfg.nRelTgt)
@@ -177,7 +177,7 @@ object KGGen {
     val perm = new Random(cfg.seed + 5).shuffle((0 until nTgt).toVector).toArray
     val tgtNamesShuffled = new Array[String](nTgt)
     for (i <- 0 until nTgt) tgtNamesShuffled(perm(i)) = tgtNames(i)
-    val tgtTriplesShuffled = tgtTriples.map { case (h, r, t) => (perm(h), r, perm(t)) }
+    val tgtTriplesShuffled = tgtTriples.zipWithIndex.map { case (x, i) => if (i % 3 == 1) x else perm(x) }
 
     // ---- assemble ----------------------------------------------------------
     val srcKG = KG.fromLocal(spark, "en", srcNames, srcTriples)

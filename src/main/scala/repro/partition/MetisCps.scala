@@ -39,7 +39,7 @@ object MetisCps extends PartitionStrategy {
     val rnd = new Random(seed)
 
     // -- step 1: METIS on the source KG ------------------------------------
-    val (su, sv) = ds.source.undirectedEdges.unzip
+    val (su, sv) = ds.source.undirectedEdges
     val gs = Graph.fromEdges(nS, su, sv, Array.fill(su.length)(1.0))
     val srcPart = Metis.partition(gs, k, seed)
 
@@ -58,7 +58,7 @@ object MetisCps extends PartitionStrategy {
     }
     // the target edges re-weighted, then the phase 1 virtual edges: the hub
     // reaches every other member with weight w′
-    val (tu, tv) = ds.target.undirectedEdges.unzip
+    val (tu, tv) = ds.target.undirectedEdges
     val spokes = Array.range(0, nT).filter(hubOf(_) >= 0)
     val us = tu ++ spokes.map(hubOf)
     val vs = tv ++ spokes

@@ -57,10 +57,12 @@ object GnnEA {
   /** The model's adjacency for one KG (or subgraph) with local ids
     * 0..n-1: edge weight w_r/√(d_h·d_t), where w_r = 1/ln(2 + |r|) for a
     * relation-weighted model (|r| the triples of relation r, self-loops
-    * included) and 1 otherwise.
+    * included) and 1 otherwise, over `triples` laid out as `KG.triplesArray`.
     */
-  def adjacency(n: Int, triples: Array[(Int, Int, Int)], cfg: Config): Graph = {
-    val relFreq = triples.groupMapReduce(_._2)(_ => 1)(_ + _)
+  def adjacency(n: Int, triples: Array[Int], cfg: Config): Graph = {
+    val rels = Array.range(1, triples.length, 3).map(triples(_))
+    val relFreq = new Array[Int](rels.maxOption.fold(0)(_ + 1))
+    rels.foreach(relFreq(_) += 1)
     Graph.fromTriples(n, triples) { (r, norm) =>
       (if (cfg.relWeighted) (1.0 / math.log(2.0 + relFreq(r))).toFloat else 1.0f) / norm.toFloat
     }

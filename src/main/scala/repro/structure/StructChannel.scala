@@ -52,7 +52,7 @@ object StructChannel {
 
   /** Mini-batch B_b = (Gs^b, Gt^b, ψ′_b) in batch-local ids: `srcIds(i)` is
     * local source entity i's global id (ascending), `srcTriples` the source
-    * triples inside the batch, in triple order, as h, r, t interleaved
+    * triples inside the batch, in triple order, laid out as `KG.triplesArray`
     * (edges cut by the partition are lost: the accuracy cost the name
     * channel recoups), and `srcAnchors(i)` the index in ψ′ of i's seed, or
     * -1. Likewise for the target side. Every field is a primitive array, so
@@ -64,22 +64,19 @@ object StructChannel {
       srcTriples: Array[Int], tgtTriples: Array[Int],
       srcAnchors: Array[Long], tgtAnchors: Array[Long])
 
-  /** The (h, r, t) triples of a batch side's interleaved `flat` array. */
-  private[structure] def triples(flat: Array[Int]): Array[(Int, Int, Int)] =
-    Array.tabulate(flat.length / 3)(i => (flat(3 * i), flat(3 * i + 1), flat(3 * i + 2)))
-
   /** All mini-batches, cut in one pass over each side's entities and triples and one over ψ′. */
   private[structure] def cut(ds: EaDataset, batches: MiniBatches, seeds: Array[(Long, Long)]): Array[Batch] = {
     val k = batches.k
     // per side: each entity's local id, then every part's ids and kept triples
-    def side(part: Array[Int], triples: Array[(Int, Int, Int)]) = {
+    def side(part: Array[Int], triples: Array[Int]) = {
       val sizes = new Array[Int](k)
       val local = new Array[Int](part.length)
       for (e <- part.indices) { local(e) = sizes(part(e)); sizes(part(e)) += 1 }
       val ids = sizes.map(new Array[Int](_))
       for (e <- part.indices) ids(part(e))(local(e)) = e
       val kept = Array.fill(k)(Array.newBuilder[Int])
-      for ((h, r, t) <- triples if part(h) == part(t)) kept(part(h)).addOne(local(h)).addOne(r).addOne(local(t))
+      for (i <- triples.indices by 3 if part(triples(i)) == part(triples(i + 2)))
+        kept(part(triples(i))).addOne(local(triples(i))).addOne(triples(i + 1)).addOne(local(triples(i + 2)))
       (local, ids, kept.map(_.result()), sizes.map(Array.fill(_)(-1L)))
     }
     val (srcPart, tgtPart) = (batches.srcPart, batches.tgtPart)
@@ -143,8 +140,8 @@ object StructChannel {
 
     // each side's graph and layer-0 noise are built once and serve every
     // bootstrap round
-    val srcAdj = GnnEA.adjacency(srcIds.length, triples(batch.srcTriples), cfg)
-    val tgtAdj = GnnEA.adjacency(tgtIds.length, triples(batch.tgtTriples), cfg)
+    val srcAdj = GnnEA.adjacency(srcIds.length, batch.srcTriples, cfg)
+    val tgtAdj = GnnEA.adjacency(tgtIds.length, batch.tgtTriples, cfg)
     val srcNoise = GnnEA.noise(srcIds.length, sideSalt = 0xAAAA + b)
     val tgtNoise = GnnEA.noise(tgtIds.length, sideSalt = 0xBBBB + b)
 

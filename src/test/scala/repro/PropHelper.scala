@@ -24,7 +24,9 @@ trait PropHelper {
 object TestGraphs {
 
   /** (n, triples) with self-loops, isolated vertices, relation ids repeated
-    * across triples and some edges in both orientations.
+    * across triples and some edges in both orientations. The triples are
+    * tuples, as the reference kernels take them; `flat` gives the program's
+    * format.
     */
   val gen: Gen[(Int, Array[(Int, Int, Int)])] = for {
     n     <- Gen.choose(1, 12)
@@ -90,6 +92,12 @@ object TestGraphs {
     }
     (n + r.nextInt(50), r.shuffle(hubs ++ random)) // vertices past n: isolated
   }
+
+  /** (h, r, t) triples listed as tuples, interleaved into one array: the
+    * format of `KG.triplesArray`, `Graph.fromTriples` and `GnnEA.adjacency`.
+    */
+  def flat(triples: Iterable[(Int, Int, Int)]): Array[Int] =
+    triples.iterator.flatMap { case (h, r, t) => Iterator(h, r, t) }.toArray
 
   /** `Graph.fromEdges` over (u, v, w) edges listed as tuples. */
   def graph(n: Int, edges: Iterable[(Int, Int, Double)]): Graph = {

@@ -17,6 +17,17 @@ import scala.util.hashing.MurmurHash3
   * one grid renderer of `Tables`, the folded `MinHashLsh.signature`, the
   * sorted-band `Stns.similarity` and the rank-order `SimMatrix.plus`
   * replaced, kept verbatim as references for the equivalence properties.
+  *
+  * The graph kernels here still take the triples as `(h, r, t)` tuples and
+  * return edges as `(u, v)` pairs, the program's format before triples
+  * became one interleaved `Int` array and edges two `Int` arrays. So they
+  * also stand for the tuple-based forms of the kernels they check:
+  * `batch` for `StructChannel.cut` and its `StructChannel.triples`
+  * unpacking, `undirectedEdges` for the pair-returning
+  * `KG.undirectedEdges`, `gnnEmbed` for `GnnEA.adjacency` with its
+  * `groupMapReduce` relation count over tuples (and `Graph.fromTriples`
+  * over tuples), and `rdgcnPropagate` for `Baselines.rdgcnPropagate` over
+  * tuples. The properties convert a tuple input with `TestGraphs.flat`.
   */
 object ReferenceKernels {
 

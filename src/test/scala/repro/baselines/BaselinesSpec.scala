@@ -68,7 +68,7 @@ class BaselinesSpec extends SparkSpec with PropHelper {
       h0    <- Gen.listOfN(graph._1, Gen.listOfN(dim, Gen.choose(-1f, 1f)).map(_.toArray))
     } yield (graph._1, graph._2, h0.toArray)
     checkProp(Prop.forAll(gen) { case (n, triples, h0) =>
-      TestGraphs.sameBits(Baselines.rdgcnPropagate(h0, triples),
+      TestGraphs.sameBits(Baselines.rdgcnPropagate(h0, TestGraphs.flat(triples)),
         ReferenceKernels.rdgcnPropagate(n, triples, h0, layers = 2, selfWeight = 2.0f))
     }, minSuccessful = 300)
   }

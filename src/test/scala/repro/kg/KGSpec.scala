@@ -12,8 +12,14 @@ class KGSpec extends SparkSpec with PropHelper {
   private lazy val kg = KG.fromLocal(
     spark, "en",
     names = Array("a", "b", "c", "d"),
-    triples = Array((0, 0, 1), (1, 1, 2), (2, 0, 3), (0, 1, 1), (3, 0, 3)))
-  private lazy val other = KG.fromLocal(spark, "fr", Array("w", "x", "y", "z", "v"), Array((0, 0, 4)))
+    triples = TestGraphs.flat(Seq((0, 0, 1), (1, 1, 2), (2, 0, 3), (0, 1, 1), (3, 0, 3))))
+  private lazy val other = KG.fromLocal(spark, "fr", Array("w", "x", "y", "z", "v"), TestGraphs.flat(Seq((0, 0, 4))))
+
+  /** The undirected edges as (u, v) pairs. */
+  private def edgePairs(g: KG): Seq[(Int, Int)] = {
+    val (us, vs) = g.undirectedEdges
+    us.toSeq.zip(vs)
+  }
 
   private def dataset(truth: Seq[(Long, Long)], train: Seq[(Long, Long)], test: Seq[(Long, Long)]) =
     EaDataset.fromLocal("ds", kg, other, truth, train, test, Map.empty)
@@ -41,13 +47,13 @@ class KGSpec extends SparkSpec with PropHelper {
   test("undirectedEdges collapses parallel and reverse edges, drops self-loops") {
     // (0,1) appears twice (two relations) -> once; (3,3) self-loop dropped;
     // the result is in ascending order, whatever the triple order
-    assert(kg.undirectedEdges.toSeq == Seq((0, 1), (1, 2), (2, 3)))
+    assert(edgePairs(kg) == Seq((0, 1), (1, 2), (2, 3)))
   }
 
   test("undirectedEdges via DuckDB oracle") {
     import spark.implicits._
     Oracle.assertEquivalent(
-      kg.undirectedEdges.toSeq.toDF("u", "v").select(
+      edgePairs(kg).toDF("u", "v").select(
         col("u").cast("string").as("u"), col("v").cast("string").as("v")),
       """SELECT DISTINCT CAST(LEAST(CAST(h AS BIGINT), CAST(t AS BIGINT)) AS VARCHAR) AS u,
         |                CAST(GREATEST(CAST(h AS BIGINT), CAST(t AS BIGINT)) AS VARCHAR) AS v
@@ -57,8 +63,8 @@ class KGSpec extends SparkSpec with PropHelper {
 
   test("property: undirectedEdges equals the former boxed distinct-and-sort pass") {
     checkProp(Prop.forAll(TestGraphs.gen) { case (n, triples) =>
-      val g = KG.fromLocal(spark, "en", Array.tabulate(n)(_.toString), triples)
-      g.undirectedEdges.toSeq == ReferenceKernels.undirectedEdges(triples).toSeq
+      val g = KG.fromLocal(spark, "en", Array.tabulate(n)(_.toString), TestGraphs.flat(triples))
+      edgePairs(g) == ReferenceKernels.undirectedEdges(triples).toSeq
     }, minSuccessful = 300)
   }
 
@@ -82,7 +88,7 @@ class KGSpec extends SparkSpec with PropHelper {
   }
 
   test("views round-trip triples and truth/train/test pairs, which are sorted") {
-    assert(kg.triples.collect().map(r => (r.getLong(0).toInt, r.getInt(1), r.getLong(2).toInt)).toSeq ==
+    assert(kg.triples.collect().flatMap(r => Seq(r.getLong(0).toInt, r.getInt(1), r.getLong(2).toInt)).toSeq ==
       kg.triplesArray.toSeq)
     def pairs(df: org.apache.spark.sql.DataFrame) = df.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
     assert(pairs(ds.truth) == truth.sorted && ds.truthPairs.toSeq == truth.sorted)
@@ -106,8 +112,14 @@ class KGSpec extends SparkSpec with PropHelper {
   }
 
   test("a triple endpoint outside the entities is rejected") {
+    val names = Array("a", "b", "c", "d")
     for (bad <- Seq((0, 0, 4), (-1, 0, 1)))
-      rejected("outside [0, 4)")(KG.fromLocal(spark, "en", Array("a", "b", "c", "d"), Array(bad)))
+      rejected("outside [0, 4)")(KG.fromLocal(spark, "en", names, TestGraphs.flat(Seq(bad))))
+    // the flat format's own checks: whole triples, and relation ids that can index a count
+    for (bad <- Seq(Array(0, 0), Array(0, 0, 1, 2)))
+      rejected("not a multiple of 3")(KG.fromLocal(spark, "en", names, bad))
+    rejected("triple (1, -1, 2) of KG en has a negative relation id")(
+      KG.fromLocal(spark, "en", names, TestGraphs.flat(Seq((0, 0, 1), (1, -1, 2)))))
   }
 
   test("an entity without a name is rejected") {

@@ -38,12 +38,9 @@ class FingerprintSpec extends SparkSpec {
     sha256(buf.array())
   }
 
-  /** The triples in generation order, as h, r, t interleaved. */
-  private def tripleInts(kg: KG): Array[Int] = kg.triplesArray.flatMap { case (h, r, t) => Array(h, r, t) }
-
   /** The undirected edges' u ends, then their v ends. */
   private def edgeInts(kg: KG): Array[Int] = {
-    val (us, vs) = kg.undirectedEdges.unzip
+    val (us, vs) = kg.undirectedEdges
     us ++ vs
   }
 
@@ -101,8 +98,8 @@ class FingerprintSpec extends SparkSpec {
       def ms(cfg: GnnEA.Config) =
         fingerprint(StructChannel.computeMs(spark, ds, batches, ds.trainPairs, cfg, Nff.Phi))
       val got = Seq(
-        "source triples" -> fingerprint(tripleInts(ds.source)),
-        "target triples" -> fingerprint(tripleInts(ds.target)),
+        "source triples" -> fingerprint(ds.source.triplesArray), // h, r, t interleaved, in generation order
+        "target triples" -> fingerprint(ds.target.triplesArray),
         "source edges" -> fingerprint(edgeInts(ds.source)),
         "target edges" -> fingerprint(edgeInts(ds.target)),
         "METIS-CPS srcPart" -> fingerprint(batches.srcPart),

@@ -12,11 +12,11 @@ class GnnEASpec extends AnyFunSuite with PropHelper {
   // A small graph: 0-1-2-3 chain plus 1-4
   private val triples = Array((0, 0, 1), (1, 0, 2), (2, 1, 3), (1, 1, 4))
 
-  /** `GnnEA.embed` over the model's adjacency, with anchors given as a map. */
+  /** `GnnEA.embed` over the model's adjacency of tuple triples, with anchors given as a map. */
   private def embed(
       n: Int, triples: Array[(Int, Int, Int)], anchors: Map[Int, Long],
       cfg: GnnEA.Config, sideSalt: Long): Array[Array[Float]] =
-    GnnEA.embed(GnnEA.adjacency(n, triples, cfg), Array.tabulate(n)(anchors.getOrElse(_, -1L)),
+    GnnEA.embed(GnnEA.adjacency(n, TestGraphs.flat(triples), cfg), Array.tabulate(n)(anchors.getOrElse(_, -1L)),
       GnnEA.noise(n, sideSalt), cfg)
 
   test("deterministic embeddings") {
@@ -117,7 +117,7 @@ class GnnEASpec extends AnyFunSuite with PropHelper {
       val none = Array.fill(n)(-1L)
       val noise = GnnEA.noise(n, salt)
       Seq(GnnEA.Gcn, GnnEA.Rrea).forall { cfg =>
-        val adj = GnnEA.adjacency(n, triples, cfg)
+        val adj = GnnEA.adjacency(n, TestGraphs.flat(triples), cfg)
         Seq(anchors, none).forall { a =>
           val anchorMap = a.indices.filter(a(_) >= 0).map(e => e -> a(e)).toMap
           TestGraphs.sameBits(GnnEA.embed(adj, a, noise, cfg),
@@ -128,12 +128,13 @@ class GnnEASpec extends AnyFunSuite with PropHelper {
   }
 
   test("adjacency keeps each vertex's neighbours in triple order and drops self-loops") {
-    val adj = Graph.fromTriples(4, Array((2, 0, 0), (1, 0, 1), (0, 1, 3), (2, 2, 0), (3, 0, 2)))((r, _) => r.toFloat)
+    val adj = Graph.fromTriples(4, TestGraphs.flat(Seq((2, 0, 0), (1, 0, 1), (0, 1, 3), (2, 2, 0), (3, 0, 2))))(
+      (r, _) => r.toFloat)
     assert(adj.ptr.toSeq == Seq(0, 3, 3, 6, 8))
     assert(adj.nbr.toSeq == Seq(2, 3, 2, 0, 0, 3, 0, 2))
     assert(adj.w.toSeq == Seq(0.0, 1.0, 2.0, 0.0, 2.0, 0.0, 1.0, 0.0))
     // degrees 1, 2, 1: both edges weigh √(1·2)
-    val path = Graph.fromTriples(3, Array((0, 0, 1), (1, 0, 2)))((_, norm) => norm.toFloat)
+    val path = Graph.fromTriples(3, TestGraphs.flat(Seq((0, 0, 1), (1, 0, 2))))((_, norm) => norm.toFloat)
     assert(path.w.toSeq == Seq.fill(4)(math.sqrt(2.0).toFloat.toDouble))
   }
 }

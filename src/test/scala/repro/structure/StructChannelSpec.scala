@@ -119,16 +119,16 @@ class StructChannelSpec extends SparkSpec with PropHelper {
     } yield (src, tgt, MiniBatches(k, sPart.toArray, tPart.toArray), seeds.toArray)
     checkProp(Prop.forAll(gen) { case ((nS, sT), (nT, tT), batches, seeds) =>
       val names = (n: Int) => Array.fill(n)("e")
-      val data = EaDataset.fromLocal("cut", KG.fromLocal(spark, "s", names(nS), sT),
-        KG.fromLocal(spark, "t", names(nT), tT), Nil, Nil, Nil, Map.empty)
+      val data = EaDataset.fromLocal("cut", KG.fromLocal(spark, "s", names(nS), TestGraphs.flat(sT)),
+        KG.fromLocal(spark, "t", names(nT), TestGraphs.flat(tT)), Nil, Nil, Nil, Map.empty)
       val cut = StructChannel.cut(data, batches, seeds)
       cut.length == batches.k && cut.indices.forall { b =>
         val (srcIds, tgtIds, srcT, tgtT, srcA, tgtA) =
           ReferenceKernels.batch(b, nS, nT, sT, tT, batches.srcPart, batches.tgtPart, seeds)
         val c = cut(b)
         c.index == b && c.srcIds.toSeq == srcIds.toSeq && c.tgtIds.toSeq == tgtIds.toSeq &&
-          StructChannel.triples(c.srcTriples).toSeq == srcT.toSeq &&
-          StructChannel.triples(c.tgtTriples).toSeq == tgtT.toSeq &&
+          c.srcTriples.toSeq == TestGraphs.flat(srcT).toSeq &&
+          c.tgtTriples.toSeq == TestGraphs.flat(tgtT).toSeq &&
           c.srcAnchors.toSeq == srcA.toSeq && c.tgtAnchors.toSeq == tgtA.toSeq
       }
     }, minSuccessful = 300)
